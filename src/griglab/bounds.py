@@ -16,20 +16,6 @@ from . import conjugacy, constructions, core, enumeration
 CSV_COLUMNS = ("n", "gamma", "f_lower", "f_upper", "rho", "env05", "env767")
 
 
-@dataclass
-class BoundParams:
-    d: int
-    M: int  # lift length
-    K_idx: int  # index of the level-1 stabilizer
-    T: float  # measured stabilizer-fraction constant
-    Q: float = 0.0
-    sigma_value: float = 0.0
-
-    def __post_init__(self):
-        self.Q = self.T * self.K_idx
-        self.sigma_value = sigma(self.d, self.M)
-
-
 def sigma(d, M):
     """Growth exponent log(d) / log(d*M)."""
     if d < 2 or M < 1:

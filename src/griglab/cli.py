@@ -134,16 +134,9 @@ def _cached_ball(config, preset, radius):
 def cmd_growth(config, out_path):
     preset = config.preset()
     ball_ = _cached_ball(config, preset, config.max_length)
-    rows = [(n, ball_.count_within(n)) for n in range(config.max_length + 1)]
-    table = enumeration.GrowthTable(rows)
-    depth = enumeration.default_action_depth(config.max_length)
-    other = enumeration.independent_gamma(preset, config.max_length, depth)
-    if other != rows:
-        raise enumeration.DedupMismatchError(
-            f"dedup paths disagree: {rows} vs {other}"
-        )
+    table = enumeration.growth_table(preset, config.max_length, ball_=ball_)
     if config.out_format == "json":
-        _emit(json.dumps({"rows": rows}, sort_keys=True) + "\n", out_path)
+        _emit(json.dumps({"rows": table.rows}, sort_keys=True) + "\n", out_path)
     else:
         _emit(table.to_csv(), out_path)
     return EXIT_OK
@@ -151,6 +144,10 @@ def cmd_growth(config, out_path):
 
 def cmd_conjgrowth(config, out_path, witness_path=None):
     preset = config.preset()
+    if preset.arity != 2:
+        raise UsageError(
+            f"conjgrowth needs a binary preset; {preset.name!r} has arity {preset.arity}"
+        )
     ball_ = _cached_ball(config, preset, config.max_length)
     rows = conjugacy.conj_growth_table(
         preset,
@@ -189,7 +186,7 @@ def cmd_width(config, target_expr, mode, out_path):
         result = width.commutator_width(target, budget, preset)
     else:
         result = width.palindromic_width(target, budget, preset, word=word)
-    witness = result.expression.describe() if result.expression else ""
+    witness = result.expression.describe() if result.expression is not None else ""
     factors = result.factors if result.factors is not None else ""
     lines = [
         "length,element,status,factors,witness",
@@ -433,6 +430,8 @@ def cmd_audit(config, lemma, out_path):
         raise UsageError(
             f"unknown lemma {lemma!r}; expected one of {', '.join(AUDIT_LEMMAS)} or all"
         )
+    if config.group != "grigorchuk":
+        raise UsageError("audit lemmas are stated for the built-in grigorchuk preset only")
     preset = config.preset()
     names = list(AUDIT_LEMMAS) if lemma == "all" else [lemma]
     reports = []

@@ -20,7 +20,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from . import core, enumeration
+from . import constructions, core, enumeration
 
 _UNIT = ("u",)
 
@@ -63,55 +63,29 @@ def depth_invariant(x, m, _memo=None):
 # level quotient machinery
 
 
-def _perm_inverse(p):
-    out = [0] * len(p)
-    for i, j in enumerate(p):
-        out[j] = i
-    return tuple(out)
-
-
 def quotient_class_table(preset, m):
     """Conjugacy class index of every element of the level-m quotient.
 
-    The quotient is enumerated by closing the generator leaf actions under
-    composition; classes are conjugation orbits under the generators.
-    Cached on the preset.
+    Classes are conjugation orbits under the generators, numbered in the
+    sorted order of the quotient.  Cached on the preset.
     """
     cache = preset.__dict__.setdefault("_quotient_class_cache", {})
     if m in cache:
         return cache[m]
-    gens = [core.level_action(preset.atoms[l], m) for l in preset.gen_labels]
-    ident = tuple(range(preset.arity**m))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for s in frontier:
-            for p in gens:
-                t = tuple(s[p[i]] for i in range(len(p)))
-                if t not in seen:
-                    seen.add(t)
-                    new.append(t)
-        frontier = new
-    inverses = [_perm_inverse(p) for p in gens]
+    moves = _conjugations(preset, m)
     class_of = {}
     n_classes = 0
-    for p in sorted(seen):
-        if p in class_of:
-            continue
-        cls = n_classes
-        n_classes += 1
-        class_of[p] = cls
-        orbit = [p]
-        while orbit:
-            q = orbit.pop()
-            for gp, gi in zip(gens, inverses):
-                t = tuple(gi[q[gp[i]]] for i in range(len(q)))
-                if t not in class_of:
-                    class_of[t] = cls
-                    orbit.append(t)
+    for p in sorted(constructions.level_quotient(preset, m)):
+        if p not in class_of:
+            orbit, _ = core.closure([p], moves)
+            class_of.update(dict.fromkeys(orbit, n_classes))
+            n_classes += 1
     cache[m] = class_of
     return class_of
+
+
+def _conjugations(preset, m):
+    return [core.conjugation(g) for g in core.generator_actions(preset, m)]
 
 
 def quotient_class_id(x, m):
@@ -120,31 +94,16 @@ def quotient_class_id(x, m):
 
 def _conjugation_orbit(x, m, budget):
     """Full conjugation orbit of the level-m image of x, cached per preset."""
-    preset = x.preset
-    cache = preset.__dict__.setdefault("_orbit_cache", {})
+    cache = x.preset.__dict__.setdefault("_orbit_cache", {})
     key = (core.level_action(x, m), m)
-    if key in cache:
-        return cache[key]
-    gens = [core.level_action(preset.atoms[l], m) for l in preset.gen_labels]
-    inverses = [_perm_inverse(p) for p in gens]
-    start = key[0]
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        new = []
-        for q in frontier:
-            for gp, gi in zip(gens, inverses):
-                t = tuple(gi[q[gp[i]]] for i in range(len(q)))
-                if t not in seen:
-                    seen.add(t)
-                    new.append(t)
-        if len(seen) > budget:
+    if key not in cache:
+        try:
+            cache[key], _ = core.closure([key[0]], _conjugations(x.preset, m), budget)
+        except core.BudgetError:
             raise OrbitBudgetError(
                 f"conjugation orbit at level {m} exceeded {budget} states"
-            )
-        frontier = new
-    cache[key] = seen
-    return seen
+            ) from None
+    return cache[key]
 
 
 class OrbitBudgetError(RuntimeError):

@@ -12,10 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import core, enumeration, expressions, words
-
-
-class BudgetError(RuntimeError):
-    pass
+from .core import BudgetError  # noqa: F401 - raised by the quotient closures
 
 
 class UnstabilizedError(RuntimeError):
@@ -30,43 +27,17 @@ class LiftUnavailableError(RuntimeError):
 # level quotients
 
 
-def _compose(p, q):
-    return tuple(p[q[i]] for i in range(len(p)))
-
-
-def _pinv(p):
-    out = [0] * len(p)
-    for i, j in enumerate(p):
-        out[j] = i
-    return tuple(out)
-
-
 def level_quotient(preset, m, budget=5_000_000):
     """All leaf permutations of level m realized by the group, as a set.
 
-    Cached per preset; the BFS closes the generator actions under
-    composition.
+    Cached per preset; the closure of the identity under the generator
+    actions.
     """
     cache = preset.__dict__.setdefault("_quotient_cache", {})
-    if m in cache:
-        return cache[m]
-    gens = [core.level_action(preset.atoms[l], m) for l in preset.gen_labels]
-    ident = tuple(range(preset.arity**m))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for s in frontier:
-            for p in gens:
-                t = _compose(s, p)
-                if t not in seen:
-                    seen.add(t)
-                    new.append(t)
-        if len(seen) > budget:
-            raise BudgetError(f"level-{m} quotient exceeded {budget} elements")
-        frontier = new
-    cache[m] = seen
-    return seen
+    if m not in cache:
+        moves = [core.right_mul(g) for g in core.generator_actions(preset, m)]
+        cache[m], _ = core.closure([tuple(range(preset.arity**m))], moves, budget)
+    return cache[m]
 
 
 def finite_quotient_order(preset, m, budget=5_000_000):
@@ -78,43 +49,19 @@ def finite_quotient_order(preset, m, budget=5_000_000):
     return len(level_quotient(preset, m, budget))
 
 
-def _subgroup_closure(generators, ident, budget):
-    seen = {ident}
-    frontier = [ident]
-    gens = [g for g in generators if g != ident]
-    while frontier:
-        new = []
-        for s in frontier:
-            for p in gens:
-                t = _compose(s, p)
-                if t not in seen:
-                    seen.add(t)
-                    new.append(t)
-        if len(seen) > budget:
-            raise BudgetError("subgroup closure exceeded budget")
-        frontier = new
-    return seen
-
-
 def normal_closure_image(preset, word, m, budget=5_000_000):
-    """Image in the level-m quotient of the normal closure of a word."""
-    group_gens = [core.level_action(preset.atoms[l], m) for l in preset.gen_labels]
-    ident = tuple(range(preset.arity**m))
+    """Image in the level-m quotient of the normal closure of a word.
+
+    The closure of the identity under right multiplication by the word's
+    image t and conjugation by the generators: it contains y*t^h whenever it
+    contains y, because y*t^h = (y^(h^-1) * t)^h, so it is the subgroup
+    generated by the conjugates of t.
+    """
     target = core.level_action(core.evaluate(preset, word), m)
-    closure_gens = {target}
-    closure = _subgroup_closure(closure_gens, ident, budget)
-    while True:
-        fresh = set()
-        for g in group_gens:
-            gi = _pinv(g)
-            for t in closure:
-                conj = _compose(_compose(gi, t), g)
-                if conj not in closure:
-                    fresh.add(conj)
-        if not fresh:
-            return closure
-        closure_gens |= fresh
-        closure = _subgroup_closure(closure_gens, ident, budget)
+    moves = [core.right_mul(target)]
+    moves += [core.conjugation(g) for g in core.generator_actions(preset, m)]
+    image, _ = core.closure([tuple(range(preset.arity**m))], moves, budget)
+    return image
 
 
 def normal_closure_index(preset, word, m, budget=5_000_000):
@@ -160,12 +107,6 @@ class BranchingData:
 
     def coset_id(self, x):
         return self.coset_table[core.level_action(x, self.level)]
-
-    def h1_membership(self, x):
-        if x.perm != (0, 1):
-            return False
-        s0, s1 = x.sections
-        return self.k_membership(s0) and self.k_membership(s1)
 
     def h1_key(self, x):
         """Coset key of the level-1 branching subgroup K x K.
@@ -253,7 +194,7 @@ def branching_data(
         cid = len(reps_actions)
         reps_actions.append(p)
         for t in image:
-            coset_table[_compose(t, p)] = cid
+            coset_table[core.compose(t, p)] = cid
 
     data = BranchingData(
         preset=preset,

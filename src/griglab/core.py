@@ -18,6 +18,7 @@ deduplication O(1) everywhere else in the package.
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 from pathlib import Path
 
 SCHEMA_VERSION = "asg-1"
@@ -43,21 +44,6 @@ class NonContractingError(RuntimeError):
     """The preset admits no finite canonical form for some product."""
 
 
-def compose_perm(p, q):
-    """Permutation of the product x*y from the permutations of x and y.
-
-    The product acts by (x*y)(i) = x(y(i)).
-    """
-    return tuple(p[i] for i in q)
-
-
-def invert_perm(p):
-    out = [0] * len(p)
-    for i, j in enumerate(p):
-        out[j] = i
-    return tuple(out)
-
-
 class Element:
     """A tree automorphism: root permutation plus one section per subtree.
 
@@ -76,10 +62,6 @@ class Element:
         self.preset = preset
         self.word = None
         self._key = None
-
-    @property
-    def is_atom(self):
-        return self.label is not None
 
     def __repr__(self):
         if self.label is not None:
@@ -208,7 +190,7 @@ class GroupPreset:
             atom = self.atoms[spec["label"]]
             if atom in self._inverse_atom:
                 continue
-            pinv = invert_perm(atom.perm)
+            pinv = inverse(atom.perm)
             declared = None
             for other_spec in self.generator_specs:
                 other = self.atoms[other_spec["label"]]
@@ -264,7 +246,7 @@ class GroupPreset:
     def _word_perm(self, word):
         p = tuple(range(self.arity))
         for atom in word:
-            p = compose_perm(p, atom.perm)
+            p = compose(p, atom.perm)
         return p
 
     def _word_section(self, word, v):
@@ -372,7 +354,7 @@ class GroupPreset:
                     f"product {u.label!r}*{v.label!r} has no finite canonical form"
                 )
             in_progress.add((u, v))
-            perm = compose_perm(u.perm, v.perm)
+            perm = compose(u.perm, v.perm)
             sections = []
             for w in range(self.arity):
                 x, y = u.sections[v.perm[w]], v.sections[w]
@@ -442,7 +424,7 @@ def multiply(x, y):
     got = memo.get((x, y))
     if got is not None:
         return got
-    perm = compose_perm(x.perm, y.perm)
+    perm = compose(x.perm, y.perm)
     sections = tuple(
         multiply(x.sections[y.perm[v]], y.sections[v]) for v in range(preset.arity)
     )
@@ -462,7 +444,7 @@ def invert(x):
     got = memo.get(x)
     if got is not None:
         return got
-    pinv = invert_perm(x.perm)
+    pinv = inverse(x.perm)
     sections = tuple(invert(x.sections[pinv[v]]) for v in range(preset.arity))
     out = preset.make_element(pinv, sections)
     memo[x] = out
@@ -543,6 +525,11 @@ def level_action(x, m):
     return out
 
 
+def generator_actions(preset, m):
+    """Level-m actions of the generators, in declaration order."""
+    return [level_action(preset.atoms[label], m) for label in preset.gen_labels]
+
+
 def evaluate(preset, word):
     """Element of a word over generator labels (single characters)."""
     e = preset.identity
@@ -592,6 +579,83 @@ def word_leaf_permutation(preset, word, m):
             t = act(ch, t)
         out.append(index[t])
     return tuple(out)
+
+
+# ----------------------------------------------------------------------
+# permutations of range(n) as tuples, and their breadth-first closures
+#
+# Everything that enumerates a finite level quotient (the quotient itself,
+# normal closures, conjugacy classes and orbits, quotient balls) is one
+# closure over moves of the form "multiply by g" or "conjugate by g".
+
+
+class BudgetError(RuntimeError):
+    """A closure outgrew its state budget."""
+
+
+def compose(p, q):
+    """Permutation of the product x*y from those of x and y: p[q[i]].
+
+    The product acts by (x*y)(i) = x(y(i)).
+    """
+    return right_mul(q)(p)
+
+
+def inverse(p):
+    out = [0] * len(p)
+    for i, j in enumerate(p):
+        out[j] = i
+    return tuple(out)
+
+
+def right_mul(g):
+    """The move p -> compose(p, g).
+
+    itemgetter with a single index returns a scalar rather than a tuple, so
+    the one-point permutation, which composes trivially, gets its own move.
+    """
+    return itemgetter(*g) if len(g) > 1 else _same
+
+
+def conjugation(g):
+    """The move q -> compose(inverse(g), compose(q, g))."""
+    if len(g) == 1:
+        return _same
+    by_g, g_inv = itemgetter(*g), inverse(g)
+    return lambda q: itemgetter(*by_g(q))(g_inv)
+
+
+def _same(p):
+    return p
+
+
+def closure(seeds, moves, budget=None, radius=None):
+    """Breadth-first closure of the states `seeds` under the callables `moves`.
+
+    Returns (reached, sizes): the set of states reached within `radius`
+    layers (until nothing new appears when radius is None), and sizes[k],
+    the size of that set after k layers.  With a radius, sizes has
+    radius + 1 entries even when the closure saturates earlier.  Raises
+    BudgetError after the first layer that leaves more than `budget` states.
+    """
+    reached = set(seeds)
+    frontier = list(reached)
+    sizes = [len(reached)]
+    while frontier and (radius is None or len(sizes) <= radius):
+        new = []
+        for s in frontier:
+            for move in moves:
+                t = move(s)
+                if t not in reached:
+                    reached.add(t)
+                    new.append(t)
+        if budget is not None and len(reached) > budget:
+            raise BudgetError(f"closure exceeded {budget} states")
+        frontier = new
+        sizes.append(len(reached))
+    if radius is not None:
+        sizes += sizes[-1:] * (radius + 1 - len(sizes))
+    return reached, sizes
 
 
 # ----------------------------------------------------------------------

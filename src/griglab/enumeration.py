@@ -1,9 +1,10 @@
 """Exact ball enumeration, word growth tables, filters and disk caching.
 
 A ball of radius n maps each element to its geodesic length and one geodesic
-word.  Deduplication happens twice on demand: once through canonical
-interning (object identity) and once through leaf permutations computed from
-raw generator tables, and the two counts must agree.
+word.  Growth counts are deduplicated twice: once through canonical
+interning (object identity) and once as the image of the ball in a level
+quotient, built from leaf permutations of the raw generator table, and the
+two counts must agree.
 """
 
 from __future__ import annotations
@@ -51,9 +52,6 @@ class Ball:
     def sorted_items(self):
         """Entries ordered by (length, word); the canonical iteration order."""
         return sorted(self.entries.items(), key=lambda kv: kv[1])
-
-    def elements_within(self, n):
-        return [e for e, (ln, _) in self.entries.items() if ln <= n]
 
     def count_within(self, n):
         return sum(1 for ln, _ in self.entries.values() if ln <= n)
@@ -136,37 +134,37 @@ def default_action_depth(n):
 
 
 def independent_gamma(preset, n_max, depth):
-    """Growth counts by leaf-permutation dedup over raw reduced words.
+    """Growth counts by leaf-permutation dedup in the level-`depth` quotient.
 
-    Uses no Element arithmetic at all: every reduced word of length <= n_max
-    is mapped to its permutation of level `depth` straight from the
-    generator table, and distinct permutations are counted per radius.
+    Uses no Element arithmetic at all: the generators' actions on level
+    `depth` come straight from the generator table, and the image of B(n)
+    is the radius-n ball of the quotient's Cayley graph on them, counted by
+    breadth-first search.
     """
-    seen = set()
-    counts = []
-    for n in range(n_max + 1):
-        for w in words.enumerate_reduced(n):
-            seen.add(core.word_leaf_permutation(preset, w, depth))
-        counts.append((n, len(seen)))
-    return counts
+    moves = [
+        core.right_mul(core.word_leaf_permutation(preset, label, depth))
+        for label in preset.gen_labels
+    ]
+    _, sizes = core.closure([tuple(range(preset.arity**depth))], moves, radius=n_max)
+    return list(enumerate(sizes))
 
 
-def growth_table(preset, n_max, threads=1, action_depth=None, cross_check=True):
+def growth_table(preset, n_max, threads=1, ball_=None):
     """Growth function rows (n, gamma(n)) for n <= n_max.
 
-    With cross_check on, the canonical-key counts must coincide with the
-    independent leaf-permutation counts at the configured depth; any
-    disagreement raises DedupMismatchError.
+    The canonical-key counts of the ball must coincide with the independent
+    leaf-permutation counts at default_action_depth(n_max); any disagreement
+    raises DedupMismatchError.  A given ball_ must have radius >= n_max.
     """
-    b = ball(preset, n_max, threads=threads)
-    rows = [(n, b.count_within(n)) for n in range(n_max + 1)]
-    if cross_check:
-        depth = action_depth or default_action_depth(n_max)
-        other = independent_gamma(preset, n_max, depth)
-        if other != rows:
-            raise DedupMismatchError(
-                f"canonical dedup {rows} != level-action dedup {other} at depth {depth}"
-            )
+    if ball_ is None:
+        ball_ = ball(preset, n_max, threads=threads)
+    rows = [(n, ball_.count_within(n)) for n in range(n_max + 1)]
+    depth = default_action_depth(n_max)
+    other = independent_gamma(preset, n_max, depth)
+    if other != rows:
+        raise DedupMismatchError(
+            f"canonical dedup {rows} != level-action dedup {other} at depth {depth}"
+        )
     return GrowthTable(rows)
 
 

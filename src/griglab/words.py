@@ -134,11 +134,6 @@ def count_reduced(n):
     return 3 ** (n // 2) + 3 ** ((n + 1) // 2)
 
 
-def all_reduced_up_to(n, alphabet=GRIG_ALPHABET):
-    for k in range(n + 1):
-        yield from enumerate_reduced(k, alphabet)
-
-
 def parity_vector(word):
     """Exponent sums mod 2 of (a, b+d, c+d); constant on elements."""
     na = word.count("a") % 2

@@ -35,6 +35,28 @@ def test_growth_thread_invariance(tmp_path):
     assert out1.read_bytes() == out8.read_bytes()
 
 
+def test_growth_gupta_sidki_3(tmp_path):
+    out = tmp_path / "g.csv"
+    args = ["growth", "--group", "gupta-sidki-3", "--max-length", "6", "--out", str(out)]
+    assert run(args) == 0
+    gammas = (1, 4, 9, 19, 35, 65, 117)
+    assert out.read_text().splitlines() == ["n,gamma"] + [
+        f"{n},{g}" for n, g in enumerate(gammas)
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["conjgrowth", "--max-length", "3", "--depth", "4", "--radius", "2"],
+        ["audit", "--lemma", "all", "--max-length", "3"],
+    ],
+)
+def test_grigorchuk_only_subcommands_reject_gupta_sidki_3(argv, capsys):
+    assert run(argv + ["--group", "gupta-sidki-3"]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_growth_json_format(tmp_path):
     out = tmp_path / "g.json"
     assert run(["growth", "--max-length", "2", "--format", "json", "--out", str(out)]) == 0
@@ -74,6 +96,13 @@ def test_width_targets(tmp_path):
     assert ",decomposed,0," in out.read_text()
     assert run(["width", "--target", "[a,b]", "--mode", "commutators", "--out", str(out)]) == 0
     assert ",decomposed,1," in out.read_text()
+
+
+def test_width_identity_target_prints_empty_product(tmp_path):
+    out = tmp_path / "w.csv"
+    for mode in ("conjugates", "commutators", "palindromes"):
+        assert run(["width", "--target", "aa", "--mode", mode, "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1] == "2,aa,decomposed,0,1"
 
 
 def test_width_bad_target_exits_3():

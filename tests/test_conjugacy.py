@@ -150,3 +150,19 @@ def test_subball(grig, ball8):
     assert len(sub) == ball8.count_within(3)
     with pytest.raises(ValueError):
         subball(sub, 5)
+
+
+def test_quotient_class_tables(grig):
+    for m, classes, order in ((3, 20, 128), (4, 61, 4096)):
+        table = conjugacy.quotient_class_table(grig, m)
+        assert len(table) == order
+        assert len(set(table.values())) == classes
+
+
+def test_level5_conjugation_orbit():
+    # a fresh preset, so no other test's orbit cache answers for it
+    fresh = core.GroupPreset("grigorchuk", 2, core.GRIGORCHUK_SPECS)
+    x = core.evaluate(fresh, "abadac")
+    with pytest.raises(conjugacy.OrbitBudgetError):
+        quotient_separated(x, fresh.identity, 5, budget=1000)
+    assert len(conjugacy._conjugation_orbit(x, 5, 131_072)) == 131_072

@@ -23,6 +23,7 @@ def test_finite_quotient_orders(grig):
     assert finite_quotient_order(grig, 1) == 2
     assert finite_quotient_order(grig, 2) == 8
     assert finite_quotient_order(grig, 3) == 128
+    assert finite_quotient_order(grig, 4) == 4096
 
 
 def test_normal_closure_index_stabilizes(grig):

@@ -237,3 +237,31 @@ def test_non_contracting_preset_rejected():
     ]
     with pytest.raises((NonContractingError, core.UndecidedError)):
         core.GroupPreset("cycling", 2, specs, identity_budget=3000)
+
+
+def test_permutation_kernel_compose_and_inverse():
+    p, q = (1, 2, 0, 3), (3, 0, 1, 2)
+    assert core.compose(p, q) == tuple(p[i] for i in q)
+    assert core.compose(p, core.inverse(p)) == (0, 1, 2, 3)
+    assert core.conjugation(q)(p) == core.compose(core.inverse(q), core.compose(p, q))
+    # itemgetter with one index returns a scalar; the kernel must not
+    one = (0,)
+    assert core.compose(one, one) == one
+    assert core.inverse(one) == one
+    moves = [core.right_mul(one), core.conjugation(one)]
+    assert core.closure([one], moves) == ({one}, [1, 1])
+    assert core.closure([one], moves, radius=3) == ({one}, [1, 1, 1, 1])
+
+
+def test_permutation_kernel_closure_layers_and_budget():
+    cycle = core.right_mul((1, 2, 0))
+    reached, sizes = core.closure([(0, 1, 2)], [cycle], radius=5)
+    assert reached == {(0, 1, 2), (1, 2, 0), (2, 0, 1)}
+    # padded to radius + 1 entries after saturating at radius 2
+    assert sizes == [1, 2, 3, 3, 3, 3]
+    six = core.right_mul((1, 2, 3, 4, 5, 0))
+    ident = tuple(range(6))
+    assert core.closure([ident], [six], budget=3, radius=2)[1] == [1, 2, 3]
+    with pytest.raises(core.BudgetError):
+        core.closure([ident], [six], budget=3, radius=3)
+    assert len(core.closure([ident], [six], budget=6)[0]) == 6

@@ -5,6 +5,7 @@ from griglab.enumeration import (
     Ball,
     BallBudgetError,
     BallCacheError,
+    DedupMismatchError,
     ball,
     geodesic_length,
     growth_table,
@@ -55,13 +56,13 @@ def test_growth_rows_and_monotonicity(grig, ball12):
 
 
 def test_dual_dedup_agreement_small(grig):
-    table = growth_table(grig, 7, cross_check=True)
+    table = growth_table(grig, 7)
     assert table.gamma(7) == 176
 
 
 def test_thread_count_invariance(grig):
-    t1 = growth_table(grig, 9, threads=1, cross_check=False)
-    t4 = growth_table(grig, 9, threads=4, cross_check=False)
+    t1 = growth_table(grig, 9, threads=1)
+    t4 = growth_table(grig, 9, threads=4)
     assert t1.rows == t4.rows
     b1 = ball(grig, 7, threads=1)
     b8 = ball(grig, 7, threads=8)
@@ -161,5 +162,20 @@ def test_ball_closure_after_load(grig, tmp_path):
 
 
 def test_growth_csv_shape(grig):
-    table = growth_table(grig, 3, cross_check=False)
+    table = growth_table(grig, 3)
     assert table.to_csv() == "n,gamma\n0,1\n1,5\n2,11\n3,23\n"
+
+
+def test_growth_gupta_sidki_3_both_dedup_paths():
+    gs = core.load_preset("gupta-sidki-3")
+    gammas = [1, 4, 9, 19, 35, 65, 117]
+    assert [g for _, g in growth_table(gs, 6).rows] == gammas
+    depth = enumeration.default_action_depth(6)
+    assert enumeration.independent_gamma(gs, 6, depth) == list(enumerate(gammas))
+
+
+def test_cross_check_rejects_a_shallow_quotient(grig, monkeypatch):
+    # level 1 sees only the root swap, so its quotient ball stops at 2
+    monkeypatch.setattr(enumeration, "default_action_depth", lambda n: 1)
+    with pytest.raises(DedupMismatchError):
+        growth_table(grig, 6)
