@@ -2,21 +2,22 @@
 width searches.
 
 Outputs are UTF-8 with LF line endings and are byte-identical for identical
-run configurations, whatever the thread count; all sampling flows from the
-single --seed.  Audit exit codes: 0 all checked properties passed, 1 a
-verified property failed, 2 inconclusive searches present but none failed,
-3 usage error.
+run configurations; all sampling flows from the single --seed, and
+--threads is accepted but has no effect.  Exit codes: 0 all checked
+properties passed, 1 a verified property failed, 2 inconclusive searches
+present but none failed, 3 usage error or a preset that cannot be loaded
+or is not supported by the subcommand, 4 internal error (traceback on
+stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
+import traceback
 from dataclasses import dataclass
-from pathlib import Path
 
 from . import (
     bounds,
@@ -33,6 +34,7 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
+EXIT_INTERNAL = 4
 
 AUDIT_LEMMAS = (
     "subwords",
@@ -62,7 +64,6 @@ class RunConfig:
     depth: int = 8
     radius: int = 6
     threads: int = 1
-    cache_dir: str | None = None
     out_format: str = "csv"
     seed: int = 0
     budget_seconds: float | None = None
@@ -73,7 +74,10 @@ class RunConfig:
                 raise UsageError(f"--{name.replace('_', '-')} must be positive")
 
     def preset(self):
-        return core.load_preset(self.group)
+        try:
+            return core.load_preset(self.group)
+        except (core.PresetError, core.NonContractingError, core.UndecidedError) as exc:
+            raise UsageError(f"--group {self.group}: {exc}") from exc
 
     def rng(self):
         return random.Random(self.seed)
@@ -84,8 +88,7 @@ def _add_common(parser):
     parser.add_argument("--max-length", type=int, default=8)
     parser.add_argument("--depth", type=int, default=8)
     parser.add_argument("--radius", type=int, default=6)
-    parser.add_argument("--threads", type=int, default=1)
-    parser.add_argument("--cache-dir", default=os.environ.get("GRIGLAB_CACHE"))
+    parser.add_argument("--threads", type=int, default=1, help="accepted; no effect")
     parser.add_argument("--format", dest="out_format", choices=("csv", "json"), default="csv")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--budget-seconds", type=float, default=None)
@@ -99,7 +102,6 @@ def _config(args):
         depth=args.depth,
         radius=args.radius,
         threads=args.threads,
-        cache_dir=args.cache_dir,
         out_format=args.out_format,
         seed=args.seed,
         budget_seconds=args.budget_seconds,
@@ -114,27 +116,13 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
-def _cached_ball(config, preset, radius):
-    if not config.cache_dir:
-        return enumeration.ball(preset, radius, threads=config.threads)
-    cache = Path(config.cache_dir)
-    cache.mkdir(parents=True, exist_ok=True)
-    path = cache / f"{preset.name}_r{radius}.ballv1"
-    if path.exists():
-        return enumeration.load_ball(preset, path)
-    ball_ = enumeration.ball(preset, radius, threads=config.threads)
-    enumeration.save_ball(ball_, path)
-    return ball_
-
-
 # ----------------------------------------------------------------------
 # subcommands
 
 
 def cmd_growth(config, out_path):
     preset = config.preset()
-    ball_ = _cached_ball(config, preset, config.max_length)
-    table = enumeration.growth_table(preset, config.max_length, ball_=ball_)
+    table = enumeration.growth_table(preset, config.max_length)
     if config.out_format == "json":
         _emit(json.dumps({"rows": table.rows}, sort_keys=True) + "\n", out_path)
     else:
@@ -148,7 +136,7 @@ def cmd_conjgrowth(config, out_path, witness_path=None):
         raise UsageError(
             f"conjgrowth needs a binary preset; {preset.name!r} has arity {preset.arity}"
         )
-    ball_ = _cached_ball(config, preset, config.max_length)
+    ball_ = enumeration.ball(preset, config.max_length)
     rows = conjugacy.conj_growth_table(
         preset,
         config.max_length,
@@ -169,6 +157,8 @@ def cmd_conjgrowth(config, out_path, witness_path=None):
 
 
 def cmd_width(config, target_expr, mode, out_path):
+    if config.group != "grigorchuk":
+        raise UsageError("width targets are words of the built-in grigorchuk preset only")
     preset = config.preset()
     try:
         word = words.parse_word_expr(target_expr)
@@ -496,6 +486,9 @@ def main(argv=None):
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:  # noqa: BLE001 - never let a crash read as exit 1
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

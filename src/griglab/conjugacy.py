@@ -42,7 +42,7 @@ def depth_invariant(x, m, _memo=None):
     if x.preset.arity != 2:
         raise ValueError("depth invariants are implemented for arity 2 only")
     if _memo is None:
-        _memo = x.preset.__dict__.setdefault("_invariant_memo", {})
+        _memo = x.preset.cache("depth_invariant")
     if m == 0:
         return _UNIT
     got = _memo.get((x, m))
@@ -69,7 +69,7 @@ def quotient_class_table(preset, m):
     Classes are conjugation orbits under the generators, numbered in the
     sorted order of the quotient.  Cached on the preset.
     """
-    cache = preset.__dict__.setdefault("_quotient_class_cache", {})
+    cache = preset.cache("quotient_class_table")
     if m in cache:
         return cache[m]
     moves = _conjugations(preset, m)
@@ -93,17 +93,23 @@ def quotient_class_id(x, m):
 
 
 def _conjugation_orbit(x, m, budget):
-    """Full conjugation orbit of the level-m image of x, cached per preset."""
-    cache = x.preset.__dict__.setdefault("_orbit_cache", {})
-    key = (core.level_action(x, m), m)
-    if key not in cache:
+    """Full conjugation orbit of the level-m image of x, cached per preset.
+
+    The orbits enumerated so far are kept per level; an image that lies in
+    one of them gets that orbit back instead of a second enumeration.
+    """
+    orbits = x.preset.cache("conjugation_orbit").setdefault(m, [])
+    image = core.level_action(x, m)
+    orbit = next((o for o in orbits if image in o), None)
+    if orbit is None:
         try:
-            cache[key], _ = core.closure([key[0]], _conjugations(x.preset, m), budget)
+            orbit, _ = core.closure([image], _conjugations(x.preset, m), budget)
         except core.BudgetError:
             raise OrbitBudgetError(
                 f"conjugation orbit at level {m} exceeded {budget} states"
             ) from None
-    return cache[key]
+        orbits.append(orbit)
+    return orbit
 
 
 class OrbitBudgetError(RuntimeError):

@@ -33,7 +33,7 @@ def level_quotient(preset, m, budget=5_000_000):
     Cached per preset; the closure of the identity under the generator
     actions.
     """
-    cache = preset.__dict__.setdefault("_quotient_cache", {})
+    cache = preset.cache("level_quotient")
     if m not in cache:
         moves = [core.right_mul(g) for g in core.generator_actions(preset, m)]
         cache[m], _ = core.closure([tuple(range(preset.arity**m))], moves, budget)
@@ -176,7 +176,7 @@ def branching_data(
     h1_radius=12,
 ):
     """Build (and cache) the branching model for the given subgroup word."""
-    cache = preset.__dict__.setdefault("_branching_cache", {})
+    cache = preset.cache("branching_data")
     if k_word in cache:
         return cache[k_word]
 
@@ -330,8 +330,8 @@ def _section_pair_map(preset, radius):
     Scans every element of B(radius) in the level-1 stabilizer once; the
     map is cached at the largest radius scanned so far.
     """
-    cache = preset.__dict__.setdefault("_pair_map_cache", {"radius": -1, "map": {}})
-    if cache["radius"] >= radius:
+    cache = preset.cache("section_pair_map")
+    if cache.get("radius", -1) >= radius:
         return cache["map"], cache["radius"]
     big = enumeration.ball(preset, radius)
     pair_map = {}

@@ -108,6 +108,7 @@ class GroupPreset:
         self._mul_memo = {}
         self._inv_memo = {}
         self._action_memo = {}
+        self._caches = {}
 
         self._build_atoms()
         self._startup_checks()
@@ -389,6 +390,18 @@ class GroupPreset:
             return got
         elem = Element(perm, sections, None, self)
         return self._intern.setdefault(key, elem)
+
+    def cache(self, name):
+        """The preset's memo table called `name`, created empty on first use.
+
+        Every module that memoises data derived from a preset keeps it here,
+        so the preset owns all of its caches.  The element memos used by
+        multiply, invert and level_action stay plain attributes.
+        """
+        table = self._caches.get(name)
+        if table is None:
+            table = self._caches[name] = {}
+        return table
 
     def atom(self, label):
         try:

@@ -1,4 +1,4 @@
-"""Exact ball enumeration, word growth tables, filters and disk caching.
+"""Exact ball enumeration, word growth tables and membership filters.
 
 A ball of radius n maps each element to its geodesic length and one geodesic
 word.  Growth counts are deduplicated twice: once through canonical
@@ -9,16 +9,10 @@ two counts must agree.
 
 from __future__ import annotations
 
-import json
 import math
-import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import core, words
-
-BALL_FORMAT = "ballv1"
-BALL_VERSION = 1
 
 
 class BallBudgetError(RuntimeError):
@@ -73,50 +67,35 @@ class GrowthTable:
         return "\n".join(lines) + "\n"
 
 
-def _expand_chunk(chunk, gens):
-    out = {}
-    for elem, word in chunk:
-        for label, g in gens:
-            ne = core.multiply(elem, g)
-            nw = word + label
-            cur = out.get(ne)
-            if cur is None or nw < cur:
-                out[ne] = nw
-    return out
-
-
 def ball(preset, n, threads=1, max_elements=None):
     """Deduplicated ball of radius n with geodesic words.
 
-    The frontier is split into contiguous chunks of its sorted order and the
-    chunks may be expanded by a worker pool; per-element minima are merged,
-    so the content is a pure function of (preset, n) whatever the thread
-    count.  Exceeding max_elements raises BallBudgetError carrying the last
+    Breadth-first, one sphere at a time: a new element keeps the least of
+    its words that extend a word of the previous sphere by one generator,
+    so the content is a pure function of (preset, n).  `threads` must be at
+    least 1 and has no effect; the ball is always built serially.
+    Exceeding max_elements raises BallBudgetError carrying the last
     completed radius.
     """
     if n < 0:
         raise ValueError("radius must be >= 0")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     entries = {preset.identity: (0, "")}
     frontier = [(preset.identity, "")]
     gens = [(label, preset.atoms[label]) for label in preset.gen_labels]
     for level in range(1, n + 1):
-        if threads > 1 and len(frontier) > 64:
-            size = math.ceil(len(frontier) / threads)
-            chunks = [frontier[i : i + size] for i in range(0, len(frontier), size)]
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                partials = list(pool.map(lambda ch: _expand_chunk(ch, gens), chunks))
-        else:
-            partials = [_expand_chunk(frontier, gens)]
         candidates = {}
-        for part in partials:
-            for elem, word in part.items():
-                cur = candidates.get(elem)
-                if cur is None or word < cur:
-                    candidates[elem] = word
-        fresh = [
-            (elem, word) for elem, word in candidates.items() if elem not in entries
-        ]
-        fresh.sort(key=lambda kv: kv[1])
+        for elem, word in frontier:
+            for label, g in gens:
+                ne = core.multiply(elem, g)
+                if ne in entries:
+                    continue
+                nw = word + label
+                cur = candidates.get(ne)
+                if cur is None or nw < cur:
+                    candidates[ne] = nw
+        fresh = sorted(candidates.items(), key=lambda kv: kv[1])
         for elem, word in fresh:
             entries[elem] = (level, word)
         if max_elements is not None and len(entries) > max_elements:
@@ -149,15 +128,14 @@ def independent_gamma(preset, n_max, depth):
     return list(enumerate(sizes))
 
 
-def growth_table(preset, n_max, threads=1, ball_=None):
+def growth_table(preset, n_max):
     """Growth function rows (n, gamma(n)) for n <= n_max.
 
     The canonical-key counts of the ball must coincide with the independent
     leaf-permutation counts at default_action_depth(n_max); any disagreement
-    raises DedupMismatchError.  A given ball_ must have radius >= n_max.
+    raises DedupMismatchError.
     """
-    if ball_ is None:
-        ball_ = ball(preset, n_max, threads=threads)
+    ball_ = ball(preset, n_max)
     rows = [(n, ball_.count_within(n)) for n in range(n_max + 1)]
     depth = default_action_depth(n_max)
     other = independent_gamma(preset, n_max, depth)
@@ -216,84 +194,3 @@ def geodesic_length(element, ball_):
         raise KeyError(
             f"element {element!r} lies outside the radius-{ball_.radius} ball"
         ) from None
-
-
-# ----------------------------------------------------------------------
-# disk cache
-#
-# Layout: one JSON header line, then per entry a 4-byte little-endian word
-# length followed by the ASCII geodesic word and a 4-byte key length followed
-# by the canonical key.  Entries are sorted by (length, word), which makes
-# the file a pure function of the ball.
-
-
-class BallCacheError(RuntimeError):
-    """Version, preset or integrity mismatch in a ball cache file."""
-
-
-def save_ball(ball_, path):
-    header = {
-        "format": BALL_FORMAT,
-        "version": BALL_VERSION,
-        "preset": ball_.preset.name,
-        "arity": ball_.preset.arity,
-        "radius": ball_.radius,
-        "count": len(ball_.entries),
-    }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        for elem, (_, word) in ball_.sorted_items():
-            wb = word.encode("ascii")
-            key = elem.key()
-            fh.write(struct.pack("<I", len(wb)) + wb)
-            fh.write(struct.pack("<I", len(key)) + key)
-
-
-def load_ball(preset, path):
-    """Reload a cached ball; bit-exact inverse of save_ball.
-
-    Words are re-evaluated and their recomputed canonical keys must match
-    the stored ones, so a stale or foreign cache cannot smuggle in wrong
-    elements.
-    """
-    with open(path, "rb") as fh:
-        header_line = fh.readline()
-        try:
-            header = json.loads(header_line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise BallCacheError(f"{path}: unreadable header") from exc
-        if header.get("format") != BALL_FORMAT or header.get("version") != BALL_VERSION:
-            raise BallCacheError(
-                f"{path}: format {header.get('format')!r} v{header.get('version')!r}, "
-                f"expected {BALL_FORMAT!r} v{BALL_VERSION!r}"
-            )
-        if header.get("preset") != preset.name or header.get("arity") != preset.arity:
-            raise BallCacheError(
-                f"{path}: cached for preset {header.get('preset')!r} "
-                f"(arity {header.get('arity')!r}), not {preset.name!r}"
-            )
-        entries = {}
-        for i in range(header["count"]):
-            raw = fh.read(4)
-            if len(raw) < 4:
-                raise BallCacheError(f"{path}: truncated at entry {i}")
-            (wlen,) = struct.unpack("<I", raw)
-            wb = fh.read(wlen)
-            raw = fh.read(4)
-            if len(wb) < wlen or len(raw) < 4:
-                raise BallCacheError(f"{path}: truncated at entry {i}")
-            (klen,) = struct.unpack("<I", raw)
-            key = fh.read(klen)
-            if len(key) < klen:
-                raise BallCacheError(f"{path}: truncated at entry {i}")
-            word = wb.decode("ascii")
-            elem = core.evaluate(preset, word)
-            if elem.key() != key:
-                raise BallCacheError(
-                    f"{path}: key mismatch for word {word!r}; cache does not match preset"
-                )
-            if elem not in entries:
-                entries[elem] = (len(word), word)
-        if fh.read(1):
-            raise BallCacheError(f"{path}: trailing data after {header['count']} entries")
-    return Ball(preset, header["radius"], entries)

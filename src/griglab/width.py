@@ -64,7 +64,7 @@ def conjugate_set(preset, radius, bases=None, ball_=None):
     ball order; the word realization is deterministic.
     """
     bases = list(bases) if bases is not None else list(preset.gen_labels)
-    cache = preset.__dict__.setdefault("_conjset_cache", {})
+    cache = preset.cache("conjugate_set")
     key = (radius, tuple(bases))
     if key in cache:
         return cache[key]
@@ -83,7 +83,7 @@ def conjugate_set(preset, radius, bases=None, ball_=None):
 
 def conjugate_pair_set(preset, radius, bases=None, max_set=2_000_000):
     """Deduplicated products of two conjugates, keyed by element."""
-    cache = preset.__dict__.setdefault("_conjpair_cache", {})
+    cache = preset.cache("conjugate_pair_set")
     key = (radius, None if bases is None else tuple(bases))
     if key in cache:
         return cache[key]
@@ -102,7 +102,7 @@ def conjugate_pair_set(preset, radius, bases=None, max_set=2_000_000):
 
 def commutator_set(preset, radius, ball_=None, max_set=2_000_000):
     """Deduplicated commutators with both entries in B(radius)."""
-    cache = preset.__dict__.setdefault("_commset_cache", {})
+    cache = preset.cache("commutator_set")
     if radius in cache:
         return cache[radius]
     if ball_ is None or ball_.radius < radius:

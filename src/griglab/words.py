@@ -67,10 +67,6 @@ def is_reduced(word, preset=None):
     return not applicable_rewrites(word, preset)
 
 
-def a_parity(word):
-    return word.count("a") % 2
-
-
 def word_sections(word, preset=None):
     """Level-1 sections (w0, w1) of a word in the level-1 stabilizer.
 

@@ -18,16 +18,6 @@ def test_growth_rows(tmp_path):
     assert "1,5" in lines
 
 
-def test_growth_cache_rerun_bit_identical(tmp_path):
-    cache = tmp_path / "cache"
-    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    args = ["growth", "--max-length", "6", "--cache-dir", str(cache)]
-    assert run(args + ["--out", str(out1)]) == 0
-    assert (cache / "grigorchuk_r6.ballv1").exists()
-    assert run(args + ["--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-
-
 def test_growth_thread_invariance(tmp_path):
     out1, out8 = tmp_path / "t1.csv", tmp_path / "t8.csv"
     assert run(["growth", "--max-length", "8", "--threads", "1", "--out", str(out1)]) == 0
@@ -50,6 +40,7 @@ def test_growth_gupta_sidki_3(tmp_path):
     [
         ["conjgrowth", "--max-length", "3", "--depth", "4", "--radius", "2"],
         ["audit", "--lemma", "all", "--max-length", "3"],
+        ["width", "--target", "a", "--radius", "2"],
     ],
 )
 def test_grigorchuk_only_subcommands_reject_gupta_sidki_3(argv, capsys):
@@ -128,14 +119,6 @@ def test_audit_determinism(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_cache_dir_env_var(tmp_path, monkeypatch):
-    cache = tmp_path / "envcache"
-    monkeypatch.setenv("GRIGLAB_CACHE", str(cache))
-    out = tmp_path / "g.csv"
-    assert run(["growth", "--max-length", "4", "--out", str(out)]) == 0
-    assert (cache / "grigorchuk_r4.ballv1").exists()
-
-
 def test_outputs_use_lf(tmp_path):
     out = tmp_path / "g.csv"
     assert run(["growth", "--max-length", "3", "--out", str(out)]) == 0
@@ -144,3 +127,30 @@ def test_outputs_use_lf(tmp_path):
 
 def test_bad_flag_value_exits_3():
     assert run(["growth", "--threads", "0"]) == 3
+
+
+def test_unloadable_preset_exits_3(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"schema": "asg-0", "name": "bad", "arity": 2, "generators": []}))
+    # x*y reproduces itself in a section: no finite canonical form
+    cycling = tmp_path / "cycling.json"
+    gens = [
+        {"label": "x", "involution": False, "perm": [1, 0], "sections": ["x", "y"]},
+        {"label": "y", "involution": False, "perm": [0, 1], "sections": ["y", "x"]},
+    ]
+    cycling.write_text(
+        json.dumps({"schema": "asg-1", "name": "cycling", "arity": 2, "generators": gens})
+    )
+    for group in ("nosuch", str(bad), str(cycling)):
+        assert run(["growth", "--group", group, "--max-length", "2"]) == 3
+        assert capsys.readouterr().err.startswith("error: --group ")
+
+
+def test_internal_error_exits_4(monkeypatch, capsys):
+    def crash(config, out_path):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_growth", crash)
+    assert run(["growth", "--max-length", "2"]) == cli.EXIT_INTERNAL == 4
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback") and "RuntimeError: boom" in err

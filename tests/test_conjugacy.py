@@ -166,3 +166,18 @@ def test_level5_conjugation_orbit():
     with pytest.raises(conjugacy.OrbitBudgetError):
         quotient_separated(x, fresh.identity, 5, budget=1000)
     assert len(conjugacy._conjugation_orbit(x, 5, 131_072)) == 131_072
+
+
+def test_conjugation_orbit_is_reused_for_another_member(monkeypatch):
+    fresh = core.GroupPreset("grigorchuk", 2, core.GRIGORCHUK_SPECS)
+    x = core.evaluate(fresh, "abadac")
+    y = core.conjugate(x, fresh.atom("b"))
+    assert core.level_action(y, 4) != core.level_action(x, 4)
+    orbit = conjugacy._conjugation_orbit(x, 4, 1000)
+    calls = []
+    real_closure = core.closure
+    monkeypatch.setattr(
+        core, "closure", lambda *args, **kw: calls.append(args) or real_closure(*args, **kw)
+    )
+    assert conjugacy._conjugation_orbit(y, 4, 1000) is orbit
+    assert calls == []

@@ -5,7 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from griglab import core
+from griglab import conjugacy, constructions, core, enumeration, width
 from griglab.core import (
     MixedPresetError,
     NonContractingError,
@@ -265,3 +265,30 @@ def test_permutation_kernel_closure_layers_and_budget():
     with pytest.raises(core.BudgetError):
         core.closure([ident], [six], budget=3, radius=3)
     assert len(core.closure([ident], [six], budget=6)[0]) == 6
+
+
+def test_derived_data_is_cached_only_in_the_registry():
+    fresh = core.GroupPreset("grigorchuk", 2, core.GRIGORCHUK_SPECS)
+    attributes = set(vars(fresh))
+    enumeration.growth_table(fresh, 4)
+    # conjugator radius 0 merges nothing, so bucket pairs reach orbit separation
+    conjugacy.conj_growth_table(fresh, 3, depth=2, radius=0, separation_level=3)
+    constructions.branching_data(fresh)
+    constructions.encode_pair("", "ab", fresh)
+    budget = width.SearchBudget(radius=1, factor_cap=4)
+    # three conjugates at radius 1, so the search builds the pair set too
+    width.conjugate_width(evaluate(fresh, "abacabad"), budget, fresh)
+    width.commutator_width(evaluate(fresh, "abab"), budget, fresh)
+    width.palindromic_width(evaluate(fresh, "abab"), budget, fresh, word="abab")
+    assert set(vars(fresh)) == attributes
+    assert set(fresh._caches) == {
+        "level_quotient",
+        "branching_data",
+        "section_pair_map",
+        "depth_invariant",
+        "quotient_class_table",
+        "conjugation_orbit",
+        "conjugate_set",
+        "conjugate_pair_set",
+        "commutator_set",
+    }
