@@ -69,9 +69,11 @@ class RunConfig:
     budget_seconds: float | None = None
 
     def __post_init__(self):
-        for name in ("max_length", "depth", "radius", "threads"):
-            if getattr(self, name) < 0 or (name == "threads" and self.threads < 1):
-                raise UsageError(f"--{name.replace('_', '-')} must be positive")
+        minima = {"max_length": 0, "depth": 0, "radius": 0, "threads": 1, "budget_seconds": 0}
+        for name, least in minima.items():
+            value = getattr(self, name)
+            if value is not None and not value >= least:  # NaN fails too
+                raise UsageError(f"--{name.replace('_', '-')} must be at least {least}")
 
     def preset(self):
         try:
@@ -137,22 +139,16 @@ def cmd_conjgrowth(config, out_path, witness_path=None):
             f"conjgrowth needs a binary preset; {preset.name!r} has arity {preset.arity}"
         )
     ball_ = enumeration.ball(preset, config.max_length)
-    rows = conjugacy.conj_growth_table(
-        preset,
-        config.max_length,
-        depth=config.depth,
-        radius=config.radius,
-        ball_=ball_,
-        escalate_to=config.radius + 2,
+    part = conjugacy.class_partition(
+        ball_, config.depth, config.radius, escalate_to=config.radius + 2
     )
     if witness_path:
-        part = conjugacy.class_partition(ball_, config.depth, config.radius)
         _emit(part.witness_json(), witness_path)
     if config.out_format == "json":
-        payload = [vars(r) for r in rows]
+        payload = [vars(r) for r in part.rows()]
         _emit(json.dumps(payload, sort_keys=True) + "\n", out_path)
     else:
-        _emit(conjugacy.conj_rows_to_csv(rows), out_path)
+        _emit(conjugacy.conj_rows_to_csv(part.rows()), out_path)
     return EXIT_OK
 
 

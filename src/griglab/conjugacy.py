@@ -153,9 +153,6 @@ class UnionFind:
         self.parent[y] = x
         return True
 
-    def class_count(self):
-        return sum(1 for x, p in self.parent.items() if x is p)
-
 
 def conjugator_search(x, y, radius, search_ball=None):
     """Find z with x^z = y, |z| <= radius, or certify there is none.
@@ -195,20 +192,42 @@ def conjugator_search(x, y, radius, search_ball=None):
 
 
 @dataclass
+class ConjGrowthRow:
+    n: int
+    lower: int
+    upper: int
+    exact: bool
+
+
+@dataclass
 class ClassPartition:
     ball: object
-    depth: int
-    radius: int
-    buckets: dict = field(repr=False)  # bucket key -> [elements]
     uf: UnionFind = field(repr=False)
     witnesses: dict = field(repr=False)  # (word_x, word_y) -> conjugator word
-    lower: int = 0
-    upper: int = 0
+    classes: tuple = ()  # shortest member of every class
+    separated: tuple = ()  # shortest members of the pairwise-separated classes
     unresolved: tuple = ()  # pairs of words neither merged nor separated
+
+    @property
+    def lower(self):
+        return len(self.separated)
+
+    @property
+    def upper(self):
+        return len(self.classes)
 
     @property
     def exact(self):
         return self.lower == self.upper
+
+    def rows(self):
+        """The bracket over the classes that meet B(n), for n = 0 .. ball radius."""
+        rows = []
+        for n in range(self.ball.radius + 1):
+            lower = sum(self.ball.entries[e][0] <= n for e in self.separated)
+            upper = sum(self.ball.entries[e][0] <= n for e in self.classes)
+            rows.append(ConjGrowthRow(n, lower, upper, lower == upper))
+        return rows
 
     def witness_json(self):
         rows = {f"{x}|{y}": z for (x, y), z in sorted(self.witnesses.items())}
@@ -220,6 +239,7 @@ def class_partition(
     depth,
     radius,
     search_ball=None,
+    escalate_to=None,
     bucket_level=DEFAULT_BUCKET_QUOTIENT_LEVEL,
     separation_level=DEFAULT_SEPARATION_LEVEL,
     separation_budget=DEFAULT_SEPARATION_BUDGET,
@@ -227,12 +247,15 @@ def class_partition(
     """Certified conjugacy bracket over the members of a ball.
 
     Buckets are keyed by (depth invariant, level quotient class); merges run
-    conjugator searches within buckets, shortest members first.  Root pairs
-    still sharing a bucket afterwards get the targeted orbit separation; the
-    lower bound counts the largest exhibited pairwise-separated set, so it
-    never exceeds the true class count.
+    conjugator searches within buckets, shortest members first.  Classes
+    still sharing a bucket get the targeted orbit separation in (length,
+    word) order of their shortest member, so the bracket restricts to every
+    sub-ball; the lower bound counts the largest exhibited pairwise-separated
+    set.  A bucket left with unresolved pairs gets one more root-pair pass at
+    escalate_to on the same union-find, so escalation only adds merges.
     """
     members = [e for e, _ in ball_.sorted_items()]
+    word_of = {e: w for e, (_, w) in ball_.entries.items()}
     buckets = {}
     for e in members:
         key = (depth_invariant(e, depth), quotient_class_id(e, bucket_level))
@@ -240,39 +263,29 @@ def class_partition(
     uf = UnionFind(members)
     witnesses = {}
     if search_ball is None:
-        search_ball = enumeration.ball(ball_.preset, (radius + 1) // 2)
-    for key in sorted(buckets, key=repr):
-        group = buckets[key]
-        if len(group) < 2:
-            continue
-        head = group[0]
-        for other in group[1:]:
-            z = conjugator_search(other, head, radius, search_ball)
-            if z is not None and uf.union(other, head):
-                witnesses[(ball_.entries[other][1], ball_.entries[head][1])] = z
-        roots = sorted({uf.find(e) for e in group}, key=lambda e: ball_.entries[e])
-        for i in range(len(roots)):
-            for j in range(i + 1, len(roots)):
-                if uf.find(roots[i]) is uf.find(roots[j]):
-                    continue
-                z = conjugator_search(roots[j], roots[i], radius, search_ball)
-                if z is not None and uf.union(roots[j], roots[i]):
-                    witnesses[
-                        (ball_.entries[roots[j]][1], ball_.entries[roots[i]][1])
-                    ] = z
+        half = (max(radius, escalate_to or 0) + 1) // 2
+        search_ball = enumeration.ball(ball_.preset, half)
 
-    lower = 0
-    unresolved = []
-    for key in sorted(buckets, key=repr):
-        group = buckets[key]
-        roots = sorted({uf.find(e) for e in group}, key=lambda e: ball_.entries[e])
-        if len(roots) == 1:
-            lower += 1
-            continue
-        # count roots pairwise separated from everything already counted in
-        # this bucket; separation failures stay in the bracket gap
-        counted = []
-        for r in roots:
+    def merge(x, y, r):
+        z = conjugator_search(x, y, r, search_ball)
+        if z is not None and uf.union(x, y):
+            witnesses[(word_of[x], word_of[y])] = z
+
+    def merge_roots(group, r):
+        roots = sorted({uf.find(e) for e in group}, key=ball_.entries.__getitem__)
+        for i, x in enumerate(roots):
+            for y in roots[i + 1 :]:
+                if uf.find(x) is not uf.find(y):
+                    merge(y, x, r)
+
+    def separate(group):
+        # count classes pairwise separated from everything already counted
+        # in this bucket; separation failures stay in the bracket gap
+        shortest = {}
+        for e in group:
+            shortest.setdefault(uf.find(e), e)
+        counted, open_pairs = [], []
+        for r in shortest.values():
             try:
                 ok = all(
                     quotient_separated(r, c, separation_level, separation_budget)
@@ -283,30 +296,25 @@ def class_partition(
             if ok:
                 counted.append(r)
             else:
-                for c in counted:
-                    unresolved.append(
-                        (ball_.entries[r][1], ball_.entries[c][1])
-                    )
-        lower += len(counted)
+                open_pairs.extend((word_of[r], word_of[c]) for c in counted)
+        return list(shortest.values()), counted, open_pairs
+
+    classes, separated, unresolved = [], [], []
+    for key in sorted(buckets, key=repr):
+        group = buckets[key]
+        for other in group[1:]:
+            merge(other, group[0], radius)
+        merge_roots(group, radius)
+        reps, counted, open_pairs = separate(group)
+        if open_pairs and escalate_to and escalate_to > radius:
+            merge_roots(group, escalate_to)
+            reps, counted, open_pairs = separate(group)
+        classes += reps
+        separated += counted
+        unresolved += open_pairs
     return ClassPartition(
-        ball=ball_,
-        depth=depth,
-        radius=radius,
-        buckets=buckets,
-        uf=uf,
-        witnesses=witnesses,
-        lower=lower,
-        upper=uf.class_count(),
-        unresolved=tuple(unresolved),
+        ball_, uf, witnesses, tuple(classes), tuple(separated), tuple(unresolved)
     )
-
-
-@dataclass
-class ConjGrowthRow:
-    n: int
-    lower: int
-    upper: int
-    exact: bool
 
 
 def default_invariant_depth(n):
@@ -321,27 +329,17 @@ def subball(ball_, n):
     return enumeration.Ball(ball_.preset, n, entries)
 
 
-def conj_growth_table(
-    preset, n_max, depth=None, radius=6, ball_=None, escalate_to=None, **kwargs
-):
+def conj_growth_table(preset, n_max, depth=None, radius=6, ball_=None, **kwargs):
     """Bracket rows for conjugacy growth up to radius n_max.
 
-    Rows that fail to collapse at the given conjugator radius are retried at
-    escalate_to (when set) before being reported non-exact.
+    Every row is read off one class_partition of B(n_max), which takes the
+    other keywords (escalate_to among them).
     """
     if depth is None:
         depth = default_invariant_depth(n_max)
     if ball_ is None or ball_.radius < n_max:
         ball_ = enumeration.ball(preset, n_max)
-    search_ball = enumeration.ball(preset, ((escalate_to or radius) + 1) // 2)
-    rows = []
-    for n in range(n_max + 1):
-        sub = subball(ball_, n)
-        part = class_partition(sub, depth, radius, search_ball, **kwargs)
-        if not part.exact and escalate_to and escalate_to > radius:
-            part = class_partition(sub, depth, escalate_to, search_ball, **kwargs)
-        rows.append(ConjGrowthRow(n, part.lower, part.upper, part.exact))
-    return rows
+    return class_partition(subball(ball_, n_max), depth, radius, **kwargs).rows()
 
 
 def conj_rows_to_csv(rows):

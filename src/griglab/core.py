@@ -124,10 +124,12 @@ class GroupPreset:
     # validation and atom construction
 
     def _validate_specs(self, specs):
-        if not specs:
-            raise PresetError("preset declares no generators")
+        if not isinstance(specs, (list, tuple)) or not specs:
+            raise PresetError("preset generators must be a non-empty list")
         labels = set()
         for spec in specs:
+            if not isinstance(spec, dict):
+                raise PresetError(f"generator entry {spec!r} is not an object")
             label = spec.get("label")
             if not isinstance(label, str) or not label or label == IDENTITY_LABEL:
                 raise PresetError(f"bad generator label {label!r}")
@@ -139,6 +141,7 @@ class GroupPreset:
             perm = spec.get("perm")
             if (
                 not isinstance(perm, (list, tuple))
+                or not all(isinstance(i, int) for i in perm)
                 or sorted(perm) != list(range(self.arity))
             ):
                 raise PresetError(
@@ -150,7 +153,7 @@ class GroupPreset:
                     f"generator {label!r}: expected {self.arity} sections"
                 )
             for s in sections:
-                if s != IDENTITY_LABEL and s not in labels:
+                if not isinstance(s, str) or (s != IDENTITY_LABEL and s not in labels):
                     raise PresetError(
                         f"generator {label!r}: section label {s!r} is not declared"
                     )
@@ -744,6 +747,8 @@ def load_preset(spec):
         data = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise PresetError(f"cannot read preset file {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise PresetError(f"preset file {path}: the top level is not an object")
     if data.get("schema") != SCHEMA_VERSION:
         raise PresetError(
             f"preset file {path}: schema {data.get('schema')!r}, expected {SCHEMA_VERSION!r}"

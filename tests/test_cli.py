@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from griglab import cli
+from griglab import cli, core, enumeration
 
 
 def run(argv):
@@ -75,8 +75,14 @@ def test_conjgrowth_rows(tmp_path):
     assert lines[0] == "n,lower,upper,exact"
     assert lines[1] == "0,1,1,true"
     assert lines[2] == "1,5,5,true"
+    # every witness re-verifies, and each one is a merge of two classes
+    grig = core.load_preset("grigorchuk")
     witnesses = json.loads(wit.read_text())
-    assert isinstance(witnesses, dict)
+    for pair, z in witnesses.items():
+        x, y = (core.evaluate(grig, w) for w in pair.split("|"))
+        assert core.equals(core.conjugate(x, core.evaluate(grig, z)), y)
+    upper = int(lines[-1].split(",")[2])
+    assert len(witnesses) == len(enumeration.ball(grig, 4)) - upper
 
 
 def test_width_targets(tmp_path):
@@ -129,6 +135,27 @@ def test_bad_flag_value_exits_3():
     assert run(["growth", "--threads", "0"]) == 3
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--max-length", "-1"], "--max-length must be at least 0"),
+        (["--radius", "-2"], "--radius must be at least 0"),
+        (["--threads", "0"], "--threads must be at least 1"),
+        (["--budget-seconds", "-1"], "--budget-seconds must be at least 0"),
+        (["--budget-seconds", "nan"], "--budget-seconds must be at least 0"),
+    ],
+)
+def test_flag_below_its_minimum_exits_3(flags, message, capsys):
+    assert run(["width", "--target", "a"] + flags) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_zero_max_length_is_accepted(tmp_path):
+    out = tmp_path / "g.csv"
+    assert run(["growth", "--max-length", "0", "--out", str(out)]) == 0
+    assert out.read_text() == "n,gamma\n0,1\n"
+
+
 def test_unloadable_preset_exits_3(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"schema": "asg-0", "name": "bad", "arity": 2, "generators": []}))
@@ -141,7 +168,20 @@ def test_unloadable_preset_exits_3(tmp_path, capsys):
     cycling.write_text(
         json.dumps({"schema": "asg-1", "name": "cycling", "arity": 2, "generators": gens})
     )
-    for group in ("nosuch", str(bad), str(cycling)):
+    x = {"label": "x", "involution": True, "perm": [1, 0], "sections": ["1", "1"]}
+    malformed = [
+        [1, 2],
+        {"schema": "asg-1", "name": "m", "arity": 2, "generators": {"x": x}},
+        {"schema": "asg-1", "name": "m", "arity": 2, "generators": [x, 5]},
+        {"schema": "asg-1", "name": "m", "arity": 2,
+         "generators": [dict(x, sections=[["1"], "1"])]},
+        {"schema": "asg-1", "name": "m", "arity": 2, "generators": [dict(x, perm=[0, "1"])]},
+    ]
+    files = []
+    for i, data in enumerate(malformed):
+        files.append(tmp_path / f"malformed{i}.json")
+        files[-1].write_text(json.dumps(data))
+    for group in ["nosuch", str(bad), str(cycling)] + [str(f) for f in files]:
         assert run(["growth", "--group", group, "--max-length", "2"]) == 3
         assert capsys.readouterr().err.startswith("error: --group ")
 

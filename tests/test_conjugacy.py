@@ -110,6 +110,20 @@ def test_conj_growth_rows(grig, ball8):
         assert r.upper <= ball8.count_within(r.n)
 
 
+def test_conj_growth_table_reads_every_row_off_one_partition(grig, monkeypatch):
+    calls = []
+    real = conjugacy.class_partition
+    monkeypatch.setattr(
+        conjugacy, "class_partition", lambda *a, **kw: calls.append(a) or real(*a, **kw)
+    )
+    rows = conj_growth_table(grig, 10, depth=8, radius=6, escalate_to=8)
+    assert len(calls) == 1
+    assert [(r.lower, r.upper, r.exact) for r in rows[:10]] == [
+        (f, f, True) for f in (1, 5, 8, 8, 14, 14, 20, 20, 32, 32)
+    ]
+    assert rows[10].lower == 38 and rows[10].upper <= 43
+
+
 def test_conj_rows_csv(grig, ball8):
     rows = conj_growth_table(grig, 2, depth=6, radius=6, ball_=ball8)
     csv = conjugacy.conj_rows_to_csv(rows)
