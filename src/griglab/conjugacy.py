@@ -89,7 +89,7 @@ def _conjugations(preset, m):
 
 
 def quotient_class_id(x, m):
-    return quotient_class_table(x.preset, m)[core.level_action(x, m)]
+    return quotient_class_table(x.preset, m)[core.state(core.level_action(x, m))]
 
 
 def _conjugation_orbit(x, m, budget):
@@ -99,7 +99,7 @@ def _conjugation_orbit(x, m, budget):
     one of them gets that orbit back instead of a second enumeration.
     """
     orbits = x.preset.cache("conjugation_orbit").setdefault(m, [])
-    image = core.level_action(x, m)
+    image = core.state(core.level_action(x, m))
     orbit = next((o for o in orbits if image in o), None)
     if orbit is None:
         try:
@@ -122,7 +122,7 @@ def quotient_separated(x, y, m, budget=DEFAULT_SEPARATION_BUDGET):
     Computes the conjugation orbit of x's image; y's image outside a closed
     orbit certifies separation in the quotient, hence in the group.
     """
-    ay = core.level_action(y, m)
+    ay = core.state(core.level_action(y, m))
     orbit = _conjugation_orbit(x, m, budget)
     return ay not in orbit
 

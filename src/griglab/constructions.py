@@ -36,7 +36,7 @@ def level_quotient(preset, m, budget=5_000_000):
     cache = preset.cache("level_quotient")
     if m not in cache:
         moves = [core.right_mul(g) for g in core.generator_actions(preset, m)]
-        cache[m], _ = core.closure([tuple(range(preset.arity**m))], moves, budget)
+        cache[m], _ = core.closure([core.state(range(preset.arity**m))], moves, budget)
     return cache[m]
 
 
@@ -60,7 +60,7 @@ def normal_closure_image(preset, word, m, budget=5_000_000):
     target = core.level_action(core.evaluate(preset, word), m)
     moves = [core.right_mul(target)]
     moves += [core.conjugation(g) for g in core.generator_actions(preset, m)]
-    image, _ = core.closure([tuple(range(preset.arity**m))], moves, budget)
+    image, _ = core.closure([core.state(range(preset.arity**m))], moves, budget)
     return image
 
 
@@ -92,7 +92,7 @@ class BranchingData:
     level: int
     index: int
     k_image: frozenset = field(repr=False)
-    coset_table: dict = field(repr=False)  # level action -> coset id
+    coset_table: dict = field(repr=False)  # closure state -> coset id
     transversal: dict = field(repr=False)  # coset id -> (element, word)
     coset_rep_max: int = 0
     lift_radius: int = 0
@@ -103,10 +103,10 @@ class BranchingData:
 
     def k_membership(self, x):
         """Membership of x's image in the K-image at the stabilized level."""
-        return core.level_action(x, self.level) in self.k_image
+        return core.state(core.level_action(x, self.level)) in self.k_image
 
     def coset_id(self, x):
-        return self.coset_table[core.level_action(x, self.level)]
+        return self.coset_table[core.state(core.level_action(x, self.level))]
 
     def h1_key(self, x):
         """Coset key of the level-1 branching subgroup K x K.
@@ -193,8 +193,7 @@ def branching_data(
             continue
         cid = len(reps_actions)
         reps_actions.append(p)
-        for t in image:
-            coset_table[core.compose(t, p)] = cid
+        coset_table.update(dict.fromkeys(map(core.right_mul(p), image), cid))
 
     data = BranchingData(
         preset=preset,

@@ -598,11 +598,20 @@ def word_leaf_permutation(preset, word, m):
 
 
 # ----------------------------------------------------------------------
-# permutations of range(n) as tuples, and their breadth-first closures
+# permutations of range(n) and their breadth-first closures
 #
 # Everything that enumerates a finite level quotient (the quotient itself,
 # normal closures, conjugacy classes and orbits, quotient balls) is one
 # closure over moves of the form "multiply by g" or "conjugate by g".
+# Elements carry their permutations as tuples.  A closure state is the
+# permutation as bytes, composed by bytes.translate, when it has at most
+# BYTES_POINTS points, and a tuple composed by itemgetter above that.
+# bytes.translate takes a 256-byte table, so a state used as one is padded
+# with the fixed points len(g)..255.
+# Bytes sort like the tuples they stand for, so orders of states and the
+# numberings read off them do not depend on the state type.
+
+BYTES_POINTS = 256
 
 
 class BudgetError(RuntimeError):
@@ -614,7 +623,7 @@ def compose(p, q):
 
     The product acts by (x*y)(i) = x(y(i)).
     """
-    return right_mul(q)(p)
+    return tuple([p[i] for i in q])
 
 
 def inverse(p):
@@ -624,25 +633,28 @@ def inverse(p):
     return tuple(out)
 
 
-def right_mul(g):
-    """The move p -> compose(p, g).
+def state(p):
+    """The closure state of the permutation p (a sequence of points)."""
+    return bytes(p) if len(p) <= BYTES_POINTS else tuple(p)
 
-    itemgetter with a single index returns a scalar rather than a tuple, so
-    the one-point permutation, which composes trivially, gets its own move.
-    """
-    return itemgetter(*g) if len(g) > 1 else _same
+
+def right_mul(g):
+    """The move p -> compose(p, g) on states of len(g) points."""
+    if len(g) > BYTES_POINTS:
+        return itemgetter(*g)
+    by_g, pad = bytes(g), bytes(range(len(g), 256))
+    return lambda p: by_g.translate(p + pad)
 
 
 def conjugation(g):
-    """The move q -> compose(inverse(g), compose(q, g))."""
-    if len(g) == 1:
-        return _same
-    by_g, g_inv = itemgetter(*g), inverse(g)
-    return lambda q: itemgetter(*by_g(q))(g_inv)
-
-
-def _same(p):
-    return p
+    """The move q -> compose(inverse(g), compose(q, g)) on states of len(g) points."""
+    g_inv = inverse(g)
+    if len(g) > BYTES_POINTS:
+        by_g = itemgetter(*g)
+        return lambda q: itemgetter(*by_g(q))(g_inv)
+    by_g, pad = bytes(g), bytes(range(len(g), 256))
+    to_g_inv = bytes(g_inv) + pad
+    return lambda q: by_g.translate(q + pad).translate(to_g_inv)
 
 
 def closure(seeds, moves, budget=None, radius=None):

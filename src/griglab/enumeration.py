@@ -124,7 +124,7 @@ def independent_gamma(preset, n_max, depth):
         core.right_mul(core.word_leaf_permutation(preset, label, depth))
         for label in preset.gen_labels
     ]
-    _, sizes = core.closure([tuple(range(preset.arity**depth))], moves, radius=n_max)
+    _, sizes = core.closure([core.state(range(preset.arity**depth))], moves, radius=n_max)
     return list(enumerate(sizes))
 
 

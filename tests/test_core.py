@@ -243,28 +243,44 @@ def test_permutation_kernel_compose_and_inverse():
     p, q = (1, 2, 0, 3), (3, 0, 1, 2)
     assert core.compose(p, q) == tuple(p[i] for i in q)
     assert core.compose(p, core.inverse(p)) == (0, 1, 2, 3)
-    assert core.conjugation(q)(p) == core.compose(core.inverse(q), core.compose(p, q))
-    # itemgetter with one index returns a scalar; the kernel must not
+    conjugate = core.compose(core.inverse(q), core.compose(p, q))
+    assert core.conjugation(q)(core.state(p)) == core.state(conjugate)
+    # the one-point permutation composes trivially, as a tuple and as a state
     one = (0,)
     assert core.compose(one, one) == one
     assert core.inverse(one) == one
     moves = [core.right_mul(one), core.conjugation(one)]
-    assert core.closure([one], moves) == ({one}, [1, 1])
-    assert core.closure([one], moves, radius=3) == ({one}, [1, 1, 1, 1])
+    seed = core.state(one)
+    assert core.closure([seed], moves) == ({seed}, [1, 1])
+    assert core.closure([seed], moves, radius=3) == ({seed}, [1, 1, 1, 1])
 
 
 def test_permutation_kernel_closure_layers_and_budget():
     cycle = core.right_mul((1, 2, 0))
-    reached, sizes = core.closure([(0, 1, 2)], [cycle], radius=5)
-    assert reached == {(0, 1, 2), (1, 2, 0), (2, 0, 1)}
+    reached, sizes = core.closure([core.state((0, 1, 2))], [cycle], radius=5)
+    assert reached == {core.state(p) for p in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]}
     # padded to radius + 1 entries after saturating at radius 2
     assert sizes == [1, 2, 3, 3, 3, 3]
     six = core.right_mul((1, 2, 3, 4, 5, 0))
-    ident = tuple(range(6))
+    ident = core.state(range(6))
     assert core.closure([ident], [six], budget=3, radius=2)[1] == [1, 2, 3]
     with pytest.raises(core.BudgetError):
         core.closure([ident], [six], budget=3, radius=3)
     assert len(core.closure([ident], [six], budget=6)[0]) == 6
+
+
+@pytest.mark.parametrize("points, state_type", [(8, bytes), (256, bytes), (257, tuple)])
+def test_permutation_kernel_moves_agree_across_the_bytes_limit(points, state_type):
+    rng = random.Random(points)
+    perms = [tuple(rng.sample(range(points), points)) for _ in range(6)]
+    p, g = perms[:2]
+    moved = core.right_mul(g)(core.state(p))
+    conjugated = core.conjugation(g)(core.state(p))
+    assert type(core.state(p)) is type(moved) is type(conjugated) is state_type
+    assert moved == core.state(core.compose(p, g))
+    assert conjugated == core.state(core.compose(core.inverse(g), core.compose(p, g)))
+    # states sort like the tuples they stand for, so numberings do not move
+    assert sorted(map(core.state, perms)) == [core.state(q) for q in sorted(perms)]
 
 
 def test_derived_data_is_cached_only_in_the_registry():

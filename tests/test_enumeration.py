@@ -126,6 +126,14 @@ def test_growth_gupta_sidki_3_both_dedup_paths():
     assert enumeration.independent_gamma(gs, 6, depth) == list(enumerate(gammas))
 
 
+def test_growth_gupta_sidki_3_cross_check_above_the_bytes_limit():
+    # level 6 has 3**6 = 729 points, so the quotient ball runs on tuple states
+    gs = core.load_preset("gupta-sidki-3")
+    assert gs.arity ** enumeration.default_action_depth(9) == 729 > core.BYTES_POINTS
+    rows = [g for _, g in growth_table(gs, 9).rows]
+    assert rows == [1, 4, 9, 19, 35, 65, 117, 209, 373, 661]
+
+
 def test_cross_check_rejects_a_shallow_quotient(grig, monkeypatch):
     # level 1 sees only the root swap, so its quotient ball stops at 2
     monkeypatch.setattr(enumeration, "default_action_depth", lambda n: 1)
