@@ -3,9 +3,10 @@
 The bracket [lower, upper] around a class count is maintained from two
 sides.  Separations (lower bound) come from class functions: the recursive
 depth invariant, conjugacy classes of images in a small level quotient, and
-for stubborn pairs a targeted conjugation-orbit closure in a deeper level
-quotient.  Merges (upper bound) come from explicit conjugator witnesses,
-re-verified by the equality oracle before they count.
+for stubborn pairs an exact conjugacy decision in a deeper level quotient,
+lifted layer by layer through its layered basis.  Merges (upper bound) come
+from explicit conjugator witnesses, re-verified by the equality oracle
+before they count.
 
 The recursive depth invariant alone is an invariant of the full tree
 automorphism group, and it provably cannot tell some non-conjugate pairs
@@ -26,7 +27,6 @@ _UNIT = ("u",)
 
 DEFAULT_BUCKET_QUOTIENT_LEVEL = 4
 DEFAULT_SEPARATION_LEVEL = 5
-DEFAULT_SEPARATION_BUDGET = 2_000_000
 
 
 def depth_invariant(x, m, _memo=None):
@@ -92,39 +92,111 @@ def quotient_class_id(x, m):
     return quotient_class_table(x.preset, m)[core.state(core.level_action(x, m))]
 
 
-def _conjugation_orbit(x, m, budget):
-    """Full conjugation orbit of the level-m image of x, cached per preset.
+def quotient_separated(x, y, m):
+    """True when the level-m images of x and y are not conjugate in G_m.
 
-    The orbits enumerated so far are kept per level; an image that lies in
-    one of them gets that orbit back instead of a second enumeration.
+    Non-conjugacy in the quotient certifies non-conjugacy in the group.
     """
-    orbits = x.preset.cache("conjugation_orbit").setdefault(m, [])
-    image = core.state(core.level_action(x, m))
-    orbit = next((o for o in orbits if image in o), None)
-    if orbit is None:
-        try:
-            orbit, _ = core.closure([image], _conjugations(x.preset, m), budget)
-        except core.BudgetError:
-            raise OrbitBudgetError(
-                f"conjugation orbit at level {m} exceeded {budget} states"
-            ) from None
-        orbits.append(orbit)
-    return orbit
+    core._check_same_preset(x, y)
+    return _layer_lift(x, y, m) is None
 
 
-class OrbitBudgetError(RuntimeError):
-    pass
+def _layer_lift(x, y, m):
+    """Decide whether the level-m images of x and y are conjugate in G_m.
 
-
-def quotient_separated(x, y, m, budget=DEFAULT_SEPARATION_BUDGET):
-    """True when the level-m images are certifiably non-conjugate.
-
-    Computes the conjugation orbit of x's image; y's image outside a closed
-    orbit certifies separation in the quotient, hence in the group.
+    Returns (g, centraliser): a state g of G_m with x^g = y on level m and
+    an induced pcgs of the centraliser of y in G_m, or None when they are
+    not conjugate.  The decision lifts through the layers of the level
+    stabiliser series (Mecky and Neubüser, "Some remarks on the computation
+    of conjugacy classes of soluble groups", 1989).  Before layer j, g has
+    x^g = y modulo N = St(j-1), and C, the elements that centralise y
+    modulo N, is kept as an induced pcgs `top` of C/N.  Modulo St(j), N
+    acts on the coset yN by the translations U spanned by the layer-j
+    vectors of [y, b] for the rows b of layer j, which is linear algebra
+    over F_p; C/N acts on the cosets of U, which is a p-group orbit with
+    its stabiliser.  x^g is moved onto y within yN/St(j) or shown to be
+    outside the orbit of y, and C shrinks to the stabiliser of y.
     """
-    ay = core.state(core.level_action(y, m))
-    orbit = _conjugation_orbit(x, m, budget)
-    return ay not in orbit
+    basis = core.layered_basis(x.preset, m)
+    mul, inv, p = basis.mul, basis.inv, basis.p
+    xs, ys = (core.state(core.level_action(e, m)) for e in (x, y))
+    y_inv = inv(ys)
+    g = basis.identity
+    top = []
+
+    def combination(rows, coeffs):
+        out = basis.identity
+        for (_, _, e), c in zip(rows, coeffs):
+            out = mul(out, basis.power(e, c))
+        return out
+
+    for j in range(1, m + 1):
+
+        def translation(c):
+            # layer-j vector of y**-1 * y^c, for c centralising y modulo N
+            return basis.vector(mul(y_inv, basis.conj(ys, c)), j)
+
+        # N acts by translations: echelon rows (pivot, vector, element) of U,
+        # vector = translation(element), and the kernel, the elements of N
+        # that centralise y modulo St(j), layer j being abelian
+        span, kernel = [], []
+        for _, b, _ in basis.rows[j - 1]:
+            u, coeffs = _reduce(translation(b), span, p)
+            e = mul(b, inv(combination(span, coeffs)))
+            if any(u):
+                lead = next(v for v, c in enumerate(u) if c)
+                k = pow(u[lead], -1, p)
+                span.append((lead, bytes(k * c % p for c in u), basis.power(e, k)))
+            else:
+                kernel.append(e)
+
+        # C/N acts on the cosets of U by w -> translation(c) + w o c: orbit
+        # of y's coset with transversal elements, and its stabiliser, taking
+        # `top` bottom up so that each step grows the orbit p-fold or adds
+        # one stabiliser row
+        def act(w, move):
+            shift, perm = move
+            return _reduce(bytes((s + w[v]) % p for s, v in zip(shift, perm)), span, p)[0]
+
+        zero = bytes(p ** (j - 1))
+        orbit = {zero: basis.identity}
+        stabiliser = []
+        for c in reversed(top):
+            move = (translation(c), basis.vertex_action(c, j - 1))
+            t = orbit.get(act(zero, move))
+            if t is not None:
+                s = mul(c, inv(t))
+                _, coeffs = _reduce(translation(s), span, p)
+                stabiliser.append(mul(s, inv(combination(span, coeffs))))
+            else:
+                block = list(orbit.items())
+                for _ in range(p - 1):
+                    block = [(act(w, move), mul(t, c)) for w, t in block]
+                    orbit.update(block)
+        stabiliser.reverse()
+
+        d = basis.vector(mul(y_inv, basis.conj(xs, g)), j)
+        t = orbit.get(_reduce(d, span, p)[0])
+        if t is None:
+            return None
+        # y^t = x^g * n modulo St(j), n in N with layer vector in U
+        u = bytes((a - b) % p for a, b in zip(translation(t), d))
+        g = mul(mul(g, combination(span, _reduce(u, span, p)[1])), inv(t))
+        top = stabiliser + kernel
+    if basis.conj(xs, g) != ys:
+        raise AssertionError(f"layer lift produced a wrong conjugator at level {m}")
+    return g, top
+
+
+def _reduce(w, rows, p):
+    """w minus its components along the echelon rows, and those components."""
+    coeffs = []
+    for pivot, vec, _ in rows:
+        c = w[pivot]
+        if c:
+            w = bytes((a - c * b) % p for a, b in zip(w, vec))
+        coeffs.append(c)
+    return w, coeffs
 
 
 # ----------------------------------------------------------------------
@@ -242,13 +314,13 @@ def class_partition(
     escalate_to=None,
     bucket_level=DEFAULT_BUCKET_QUOTIENT_LEVEL,
     separation_level=DEFAULT_SEPARATION_LEVEL,
-    separation_budget=DEFAULT_SEPARATION_BUDGET,
 ):
     """Certified conjugacy bracket over the members of a ball.
 
     Buckets are keyed by (depth invariant, level quotient class); merges run
     conjugator searches within buckets, shortest members first.  Classes
-    still sharing a bucket get the targeted orbit separation in (length,
+    still sharing a bucket are separated by the layer lift, an exact
+    conjugacy decision in the level-`separation_level` quotient, in (length,
     word) order of their shortest member, so the bracket restricts to every
     sub-ball; the lower bound counts the largest exhibited pairwise-separated
     set.  A bucket left with unresolved pairs gets one more root-pair pass at
@@ -286,14 +358,7 @@ def class_partition(
             shortest.setdefault(uf.find(e), e)
         counted, open_pairs = [], []
         for r in shortest.values():
-            try:
-                ok = all(
-                    quotient_separated(r, c, separation_level, separation_budget)
-                    for c in counted
-                )
-            except OrbitBudgetError:
-                ok = False
-            if ok:
+            if all(quotient_separated(r, c, separation_level) for c in counted):
                 counted.append(r)
             else:
                 open_pairs.extend((word_of[r], word_of[c]) for c in counted)

@@ -40,13 +40,11 @@ def level_quotient(preset, m, budget=5_000_000):
     return cache[m]
 
 
-def finite_quotient_order(preset, m, budget=5_000_000):
-    """Order of the quotient by the level-m stabilizer."""
+def finite_quotient_order(preset, m):
+    """Order of the quotient by the level-m stabilizer, read off its layered basis."""
     if m < 0:
         raise ValueError("level must be >= 0")
-    if m == 0:
-        return 1
-    return len(level_quotient(preset, m, budget))
+    return core.layered_basis(preset, m).order()
 
 
 def normal_closure_image(preset, word, m, budget=5_000_000):
@@ -68,7 +66,7 @@ def normal_closure_index(preset, word, m, budget=5_000_000):
     """Index of the normal closure image inside the level-m quotient."""
     if m == 0:
         return 1
-    order = finite_quotient_order(preset, m, budget)
+    order = finite_quotient_order(preset, m)
     return order // len(normal_closure_image(preset, word, m, budget))
 
 

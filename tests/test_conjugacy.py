@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -133,10 +134,10 @@ def test_conj_rows_csv(grig, ball8):
 def test_quotient_separation_is_sound(grig, ball6):
     # merged pairs must never be separated by any quotient level
     part = class_partition(ball6, 6, 6)
-    merged = list(part.witnesses)[:10]
-    for wx, wy in merged:
+    assert len(part.witnesses) == 88
+    for wx, wy in part.witnesses:
         x, y = core.evaluate(grig, wx), core.evaluate(grig, wy)
-        for m in (3, 4):
+        for m in (3, 4, 5):
             assert not quotient_separated(x, y, m)
 
 
@@ -173,25 +174,78 @@ def test_quotient_class_tables(grig):
         assert len(set(table.values())) == classes
 
 
-def test_level5_conjugation_orbit():
-    # a fresh preset, so no other test's orbit cache answers for it
-    fresh = core.GroupPreset("grigorchuk", 2, core.GRIGORCHUK_SPECS)
-    x = core.evaluate(fresh, "abadac")
-    with pytest.raises(conjugacy.OrbitBudgetError):
-        quotient_separated(x, fresh.identity, 5, budget=1000)
-    assert len(conjugacy._conjugation_orbit(x, 5, 131_072)) == 131_072
+def _orbit(x, m):
+    # independent of the lift: the conjugation orbit of x's level-m image
+    moves = [core.conjugation(g) for g in core.generator_actions(x.preset, m)]
+    orbit, _ = core.closure([core.state(core.level_action(x, m))], moves)
+    return orbit
 
 
-def test_conjugation_orbit_is_reused_for_another_member(monkeypatch):
-    fresh = core.GroupPreset("grigorchuk", 2, core.GRIGORCHUK_SPECS)
-    x = core.evaluate(fresh, "abadac")
-    y = core.conjugate(x, fresh.atom("b"))
-    assert core.level_action(y, 4) != core.level_action(x, 4)
-    orbit = conjugacy._conjugation_orbit(x, 4, 1000)
-    calls = []
-    real_closure = core.closure
-    monkeypatch.setattr(
-        core, "closure", lambda *args, **kw: calls.append(args) or real_closure(*args, **kw)
-    )
-    assert conjugacy._conjugation_orbit(y, 4, 1000) is orbit
-    assert calls == []
+def _audit_lift(x, ys, m):
+    """Lift and orbit agree on every pair (x, y); counts of each answer."""
+    basis = core.layered_basis(x.preset, m)
+    orbit = _orbit(x, m)
+    x_perm = core.level_action(x, m)
+    answers = Counter()
+    for y in ys:
+        lifted = conjugacy._layer_lift(x, y, m)
+        assert (lifted is not None) == (core.state(core.level_action(y, m)) in orbit)
+        if lifted is not None:
+            g, centraliser = lifted
+            assert core.compose(core.inverse(g), core.compose(x_perm, g)) == (
+                core.level_action(y, m)
+            )
+            # |C(y)| * |class of y| = |G_m|
+            assert basis.p ** len(centraliser) * len(orbit) == basis.order()
+        answers[lifted is not None] += 1
+    return answers
+
+
+def test_lift_agrees_with_conjugation_orbits_on_grigorchuk(grig, ball8):
+    by_class = {}
+    for e, _ in ball8.sorted_items():
+        by_class.setdefault(conjugacy.quotient_class_id(e, 4), []).append(e)
+    for m in (3, 4):
+        for group in by_class.values():
+            assert _audit_lift(group[0], group, m)[False] == 0
+    # the two level-4 classes of B(8) that level 5 splits; a level-5 orbit
+    # has up to 131,072 states, so only their orbits are enumerated
+    answers = Counter()
+    for word in ("ababab", "ababac"):
+        x = core.evaluate(grig, word)
+        answers += _audit_lift(x, by_class[conjugacy.quotient_class_id(x, 4)], 5)
+    assert answers == {True: 16, False: 16}
+
+
+def test_lift_agrees_with_conjugation_orbits_on_gupta_sidki_3():
+    gs = core.load_preset("gupta-sidki-3")
+    members = [e for e, _ in enumeration.ball(gs, 4).sorted_items()]
+    by_class = {}
+    for e in members:
+        by_class.setdefault(conjugacy.quotient_class_id(e, 2), []).append(e)
+    answers = Counter()
+    for group in by_class.values():
+        for x in group[:2]:
+            answers += _audit_lift(x, group, 3)
+    assert answers[True] > 0 and answers[False] > 0
+
+
+def test_lift_finds_planted_conjugates_past_the_orbits(grig, ball8):
+    # |G_7| = 2^82, far past any orbit enumeration; y = x^z is conjugate to x
+    # in every quotient, so the lift must find a conjugator there, and the
+    # centralisers of x and y must have the same order
+    rng = random.Random(7)
+    members = [e for e, _ in ball8.sorted_items()]
+    for _ in range(40):
+        x, z = rng.choice(members), rng.choice(members)
+        y = core.conjugate(x, z)
+        for m in (6, 7):
+            lifted = conjugacy._layer_lift(x, y, m)
+            assert lifted is not None
+            assert len(lifted[1]) == len(conjugacy._layer_lift(x, x, m)[1])
+
+
+def test_quotient_separated_rejects_mixed_presets(grig):
+    gs = core.load_preset("gupta-sidki-3")
+    with pytest.raises(core.MixedPresetError):
+        quotient_separated(grig.atom("a"), gs.atom("t"), 3)

@@ -26,6 +26,51 @@ def test_finite_quotient_orders(grig):
     assert finite_quotient_order(grig, 4) == 4096
 
 
+@pytest.mark.parametrize("name, levels", [("grigorchuk", 5), ("gupta-sidki-3", 4)])
+def test_basis_agrees_with_the_enumerated_quotient(name, levels):
+    # every level whose enumeration stays small: G_4 has 4,096 elements and
+    # the gupta-sidki-3 G_3 has 2,187
+    preset = core.load_preset(name)
+    rng = random.Random(levels)
+    for m in range(levels):
+        quotient = constructions.level_quotient(preset, m)
+        basis = core.layered_basis(preset, m)
+        assert finite_quotient_order(preset, m) == len(quotient) == basis.order()
+        assert all(s in basis for s in quotient)
+        # random elements of the rotation wreath product, members or not
+        for _ in range(300):
+            s = core.state(_random_rotations(preset.arity, m, rng))
+            assert (s in basis) == (s in quotient)
+
+
+def _random_rotations(p, m, rng):
+    """Level-m action of a random portrait of rotations c -> c + k mod p."""
+    if m == 0:
+        return (0,)
+    k, half = rng.randrange(p), p ** (m - 1)
+    # one independent portrait below each child, as in core.level_action
+    return tuple(
+        (v + k) % p * half + i for v in range(p) for i in _random_rotations(p, m - 1, rng)
+    )
+
+
+@pytest.mark.parametrize("arity, perm", [(3, [0, 2, 1]), (4, [1, 2, 3, 0])])
+def test_basis_rejects_vertex_groups_that_are_not_rotations_of_prime_order(arity, perm):
+    spec = {"label": "x", "involution": arity == 3, "perm": perm, "sections": ["1"] * arity}
+    preset = core.GroupPreset("x", arity, [spec])
+    with pytest.raises(core.PresetError):
+        finite_quotient_order(preset, 1)
+
+
+def test_basis_orders_beyond_the_enumeration():
+    gs = core.load_preset("gupta-sidki-3")
+    assert finite_quotient_order(gs, 4) == 3**19
+    # |G/St(m)| = 2^(5 * 2^(m-3) + 2) for the Grigorchuk group, m >= 3
+    grig = core.load_preset("grigorchuk")
+    for m in range(3, 8):
+        assert finite_quotient_order(grig, m) == 2 ** (5 * 2 ** (m - 3) + 2)
+
+
 def test_normal_closure_index_stabilizes(grig):
     values = [normal_closure_index(grig, "abab", m) for m in (1, 2, 3, 4)]
     assert values == [2, 4, 16, 16]

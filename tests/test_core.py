@@ -283,11 +283,23 @@ def test_permutation_kernel_moves_agree_across_the_bytes_limit(points, state_typ
     assert sorted(map(core.state, perms)) == [core.state(q) for q in sorted(perms)]
 
 
+def test_layered_basis_on_tuple_states(monkeypatch):
+    # above BYTES_POINTS the basis composes tuple states with itemgetter;
+    # lowering the limit sends level 4 (16 points) down that path
+    fresh = core.GroupPreset("grigorchuk", 2, core.GRIGORCHUK_SPECS)
+    monkeypatch.setattr(core, "BYTES_POINTS", 8)
+    basis = core.layered_basis(fresh, 4)
+    assert type(basis.identity) is tuple and basis.order() == 4096
+    x = evaluate(fresh, "ab")
+    assert conjugacy.quotient_separated(x, evaluate(fresh, "ababab"), 4)
+    assert not conjugacy.quotient_separated(x, core.conjugate(x, evaluate(fresh, "cad")), 4)
+
+
 def test_derived_data_is_cached_only_in_the_registry():
     fresh = core.GroupPreset("grigorchuk", 2, core.GRIGORCHUK_SPECS)
     attributes = set(vars(fresh))
     enumeration.growth_table(fresh, 4)
-    # conjugator radius 0 merges nothing, so bucket pairs reach orbit separation
+    # conjugator radius 0 merges nothing, so bucket pairs reach the layer lift
     conjugacy.conj_growth_table(fresh, 3, depth=2, radius=0, separation_level=3)
     constructions.branching_data(fresh)
     constructions.encode_pair("", "ab", fresh)
@@ -303,7 +315,7 @@ def test_derived_data_is_cached_only_in_the_registry():
         "section_pair_map",
         "depth_invariant",
         "quotient_class_table",
-        "conjugation_orbit",
+        "layered_basis",
         "conjugate_set",
         "conjugate_pair_set",
         "commutator_set",
