@@ -1,5 +1,5 @@
 """Numeric side of the growth estimates: exponents, measured constants,
-recursion and assembly audits, envelope diagnostics.
+recursion and assembly audits.
 
 Everything here is a pure table transform.  No asymptotic exponent is ever
 fitted from desk-scale data; the module reports per-row diagnostics and
@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 
 from . import conjugacy, constructions, core, enumeration
-
-CSV_COLUMNS = ("n", "gamma", "f_lower", "f_upper", "rho", "env05", "env767")
 
 
 def sigma(d, M):
@@ -159,68 +157,3 @@ def assembly_audit(n, preset=None, invariant_depth=8):
         separated=separated,
         swap_merged=swap_merged,
     )
-
-
-# ----------------------------------------------------------------------
-# envelope diagnostics
-
-
-def rho(count, n):
-    """Per-row exponent diagnostic log log count / log n."""
-    if n < 2 or count < 3:
-        raise ValueError("rho needs n >= 2 and count >= 3")
-    return math.log(math.log(count)) / math.log(n)
-
-
-def envelope_compare(rows, lower_exp=0.5, upper_exp=0.767):
-    """Diagnostic rows (n, count, rho, rho/lower_exp, rho/upper_exp).
-
-    Rows with n < 2 or count < 3 are skipped (the iterated logarithm is
-    undefined or unstable there).  Desk diagnostics only, no asymptotic
-    claim.
-    """
-    out = []
-    for n, count in rows:
-        if n < 2 or count < 3:
-            continue
-        r = rho(count, n)
-        out.append((n, count, r, r / lower_exp, r / upper_exp))
-    return out
-
-
-def envelope_csv(gamma_table, f_rows, lower_exp=0.5, upper_exp=0.767):
-    """Fixed-column CSV joining growth and conjugacy-growth diagnostics."""
-    f_by_n = {r.n: r for r in f_rows}
-    lines = [",".join(CSV_COLUMNS)]
-    for n, gamma_n in gamma_table.rows:
-        fr = f_by_n.get(n)
-        f_lower = fr.lower if fr else ""
-        f_upper = fr.upper if fr else ""
-        if n >= 2 and fr and fr.lower >= 3:
-            r = rho(fr.lower, n)
-            rho_s = f"{r:.6f}"
-            env05 = f"{r / lower_exp:.6f}"
-            env767 = f"{r / upper_exp:.6f}"
-        else:
-            rho_s = env05 = env767 = ""
-        lines.append(f"{n},{gamma_n},{f_lower},{f_upper},{rho_s},{env05},{env767}")
-    return "\n".join(lines) + "\n"
-
-
-def quotient_table(gamma_rows, f_rows):
-    """Per-row ratios gamma(n)/f_upper(n) and gamma(n)/f_lower(n)."""
-    f_by_n = {r.n: r for r in f_rows}
-    out = []
-    for n, gamma_n in gamma_rows:
-        fr = f_by_n.get(n)
-        if fr is None:
-            continue
-        out.append((n, gamma_n / fr.upper, gamma_n / fr.lower))
-    return out
-
-
-def quotient_csv(gamma_rows, f_rows):
-    lines = ["n,gamma_over_f_upper,gamma_over_f_lower"]
-    for n, qu, ql in quotient_table(gamma_rows, f_rows):
-        lines.append(f"{n},{qu:.6f},{ql:.6f}")
-    return "\n".join(lines) + "\n"

@@ -412,58 +412,3 @@ def conj_rows_to_csv(rows):
     for r in rows:
         lines.append(f"{r.n},{r.lower},{r.upper},{'true' if r.exact else 'false'}")
     return "\n".join(lines) + "\n"
-
-
-# ----------------------------------------------------------------------
-# witnesses for infinitely many classes
-
-
-def first_active_level(x, max_level=32):
-    """Smallest m with a nontrivial action on level m, or None if trivial."""
-    if core.is_identity(x):
-        return None
-    frontier = [x]
-    for m in range(1, max_level + 1):
-        if any(e.perm != tuple(range(e.preset.arity)) for e in frontier):
-            return m
-        frontier = [s for e in frontier for s in e.sections]
-        frontier = [e for e in frontier if not core.is_identity(e)]
-        if not frontier:
-            return None
-    raise RuntimeError(f"no activity found down to level {max_level}")
-
-
-def infinite_classes_witness(preset, k, depth=6, max_radius=8):
-    """k elements that are pairwise non-conjugate, certified by invariants.
-
-    Mirrors the stabilizer filtration: elements whose first active levels
-    strictly increase are pairwise separated, and the list is topped up with
-    fresh invariant buckets when the filtration chain inside the budget ball
-    is shorter than k.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k == 1:
-        return [preset.identity]
-    ball_ = enumeration.ball(preset, max_radius)
-    chosen = []
-    seen_invs = set()
-    best_level = 0
-    for e, _ in ball_.sorted_items():
-        lvl = first_active_level(e)
-        if lvl is not None and lvl > best_level:
-            chosen.append(e)
-            seen_invs.add(depth_invariant(e, depth))
-            best_level = lvl
-            if len(chosen) == k:
-                return chosen
-    for e, _ in ball_.sorted_items():
-        inv = depth_invariant(e, depth)
-        if inv not in seen_invs:
-            chosen.append(e)
-            seen_invs.add(inv)
-            if len(chosen) == k:
-                return chosen
-    raise RuntimeError(
-        f"found only {len(chosen)} separated elements within radius {max_radius}"
-    )

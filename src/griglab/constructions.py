@@ -12,7 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import core, enumeration, expressions, words
-from .core import BudgetError  # noqa: F401 - raised by the quotient closures
+
+# highest level searched for a stable normal-closure index
+MAX_LEVEL = 5
+# ball radii of the K-coset transversal, the lift table and the K x K
+# coset representatives
+TRANSVERSAL_RADIUS = 12
+LIFT_RADIUS = 16
+H1_RADIUS = 12
 
 
 class UnstabilizedError(RuntimeError):
@@ -47,27 +54,15 @@ def finite_quotient_order(preset, m):
     return core.layered_basis(preset, m).order()
 
 
-def normal_closure_image(preset, word, m, budget=5_000_000):
-    """Image in the level-m quotient of the normal closure of a word.
-
-    The closure of the identity under right multiplication by the word's
-    image t and conjugation by the generators: it contains y*t^h whenever it
-    contains y, because y*t^h = (y^(h^-1) * t)^h, so it is the subgroup
-    generated by the conjugates of t.
-    """
-    target = core.level_action(core.evaluate(preset, word), m)
-    moves = [core.right_mul(target)]
-    moves += [core.conjugation(g) for g in core.generator_actions(preset, m)]
-    image, _ = core.closure([core.state(range(preset.arity**m))], moves, budget)
-    return image
+def normal_closure_basis(preset, word, m):
+    """Layered basis of the normal closure of a word in the level-m quotient."""
+    seed = core.state(core.level_action(core.evaluate(preset, word), m))
+    return core.LayeredBasis(preset, m, [seed])
 
 
-def normal_closure_index(preset, word, m, budget=5_000_000):
-    """Index of the normal closure image inside the level-m quotient."""
-    if m == 0:
-        return 1
-    order = finite_quotient_order(preset, m)
-    return order // len(normal_closure_image(preset, word, m, budget))
+def normal_closure_index(preset, word, m):
+    """Index of the normal closure of a word in the level-m quotient."""
+    return finite_quotient_order(preset, m) // normal_closure_basis(preset, word, m).order()
 
 
 # ----------------------------------------------------------------------
@@ -80,28 +75,28 @@ class BranchingData:
 
     The subgroup K is the normal closure of `k_word`.  `level` is the first
     level whose normal-closure index agrees with the next one; membership
-    and coset identity are read off the level-`level` image.  The transversal
-    stores one shortest representative per realized coset, and the lift map
-    sends u to a verified element with sections (u, identity).
+    sifts against K's layered basis at that level, and coset identity is
+    read off the level-`level` quotient.  The transversal stores one
+    shortest representative per realized coset, and the lift map sends u to
+    a verified element with sections (u, identity).
     """
 
     preset: object
     k_word: str
     level: int
     index: int
-    k_image: frozenset = field(repr=False)
+    k_basis: core.LayeredBasis = field(repr=False)
     coset_table: dict = field(repr=False)  # closure state -> coset id
     transversal: dict = field(repr=False)  # coset id -> (element, word)
     coset_rep_max: int = 0
-    lift_radius: int = 0
     lift_map: dict = field(repr=False, default_factory=dict)  # u -> (elem, word)
     h1_reps: dict = field(repr=False, default_factory=dict)  # h1 key -> (elem, word)
     h1_rep_max: int = 0
     h1_key_count: int = 0
 
     def k_membership(self, x):
-        """Membership of x's image in the K-image at the stabilized level."""
-        return core.state(core.level_action(x, self.level)) in self.k_image
+        """Membership of x's level-`level` image in K's basis."""
+        return core.state(core.level_action(x, self.level)) in self.k_basis
 
     def coset_id(self, x):
         return self.coset_table[core.state(core.level_action(x, self.level))]
@@ -146,16 +141,16 @@ class BranchingData:
                         return ne, nw
             frontier = new
         raise LiftUnavailableError(
-            f"no lift with sections ({u!r}, 1) within radius {self.lift_radius} "
+            f"no lift with sections ({u!r}, 1) within radius {LIFT_RADIUS} "
             "or its composition closure"
         )
 
 
-def _stabilized_level(preset, k_word, max_level=5, budget=5_000_000):
+def _stabilized_level(preset, k_word, max_level=MAX_LEVEL):
     indices = {}
     prev = None
     for m in range(1, max_level + 1):
-        indices[m] = normal_closure_index(preset, k_word, m, budget)
+        indices[m] = normal_closure_index(preset, k_word, m)
         if prev is not None and indices[m] == prev:
             return m - 1, indices
         prev = indices[m]
@@ -165,23 +160,16 @@ def _stabilized_level(preset, k_word, max_level=5, budget=5_000_000):
     )
 
 
-def branching_data(
-    preset,
-    k_word="abab",
-    max_level=5,
-    transversal_radius=12,
-    lift_radius=16,
-    h1_radius=12,
-):
+def branching_data(preset, k_word="abab"):
     """Build (and cache) the branching model for the given subgroup word."""
     cache = preset.cache("branching_data")
     if k_word in cache:
         return cache[k_word]
 
-    level, indices = _stabilized_level(preset, k_word, max_level)
-    image = normal_closure_image(preset, k_word, level)
+    level, indices = _stabilized_level(preset, k_word)
+    k_basis = normal_closure_basis(preset, k_word, level)
     quotient = level_quotient(preset, level)
-    index = len(quotient) // len(image)
+    image = [s for s in quotient if s in k_basis]
 
     # right cosets K*g; the table is exact for the level image
     coset_table = {}
@@ -197,40 +185,39 @@ def branching_data(
         preset=preset,
         k_word=k_word,
         level=level,
-        index=index,
-        k_image=frozenset(image),
+        index=indices[level],
+        k_basis=k_basis,
         coset_table=coset_table,
         transversal={},
     )
 
-    big = enumeration.ball(preset, max(transversal_radius, h1_radius, lift_radius))
-    items = big.sorted_items()
+    items = enumeration.ball(preset, max(TRANSVERSAL_RADIUS, H1_RADIUS)).sorted_items()
 
     for e, (ln, word) in items:
-        if ln > transversal_radius:
+        if ln > TRANSVERSAL_RADIUS:
             break
         cid = data.coset_id(e)
         if cid not in data.transversal:
             data.transversal[cid] = (e, word)
-            if len(data.transversal) == index:
+            if len(data.transversal) == data.index:
                 break
     data.coset_rep_max = max(
         (len(w) for _, w in data.transversal.values()), default=0
     )
 
+    # the shortest word of each section pair (u, 1), re-evaluated
     identity = preset.identity
-    for e, (ln, word) in items:
-        if ln > lift_radius:
-            break
-        if e.perm == (0, 1) and e.sections[1] is identity:
-            data.lift_map.setdefault(e.sections[0], (e, word))
-    data.lift_radius = lift_radius
-    for u, (e, w) in data.lift_map.items():
-        if e.sections != (u, identity) or core.evaluate(preset, w) is not e:
+    pair_map, _ = _section_pair_map(preset, LIFT_RADIUS)
+    for (u, v), (ln, word) in pair_map.items():
+        if v is not identity or ln > LIFT_RADIUS:
+            continue
+        e = core.evaluate(preset, word)
+        if e.perm != (0, 1) or e.sections != (u, identity):
             raise AssertionError(f"lift table entry for {u!r} failed verification")
+        data.lift_map[u] = (e, word)
 
     for e, (ln, word) in items:
-        if ln > h1_radius:
+        if ln > H1_RADIUS:
             break
         key = data.h1_key(e)
         if key not in data.h1_reps:
@@ -240,10 +227,6 @@ def branching_data(
 
     cache[k_word] = data
     return data
-
-
-def k_membership(preset, x, k_word="abab"):
-    return branching_data(preset, k_word).k_membership(x)
 
 
 # ----------------------------------------------------------------------

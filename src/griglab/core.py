@@ -601,8 +601,8 @@ def word_leaf_permutation(preset, word, m):
 # permutations of range(n) and their breadth-first closures
 #
 # Everything that enumerates a finite level quotient (the quotient itself,
-# normal closures, conjugacy classes and orbits, quotient balls) is one
-# closure over moves of the form "multiply by g" or "conjugate by g".
+# its conjugacy classes, quotient balls) is one closure over moves of the
+# form "multiply by g" or "conjugate by g".
 # Elements carry their permutations as tuples.  A closure state is the
 # permutation as bytes, composed by bytes.translate, when it has at most
 # BYTES_POINTS points, and a tuple composed by itemgetter above that.
@@ -703,14 +703,17 @@ def closure(seeds, moves, budget=None, radius=None):
 
 
 class LayeredBasis:
-    """Induced pcgs of G_m along the level stabilisers, one row list per layer.
+    """Induced pcgs of a normal subgroup of G_m along the level stabilisers.
 
-    Built from the generators' level-m actions by sifting and closing under
-    p-th powers and commutators of rows.  An element is in G_m exactly when
-    it sifts to the identity, and |G_m| = p ** (sum of the layer ranks).
+    Built by sifting and closing under p-th powers and commutators of rows.
+    Without seeds the subgroup is G_m itself, generated by the generators'
+    level-m actions.  Given seed states, it is their normal closure in G_m:
+    the conjugates of every new row by the generators are sifted too.  An
+    element is in the subgroup exactly when it sifts to the identity, and
+    the order is p ** (sum of the layer ranks).
     """
 
-    def __init__(self, preset, m):
+    def __init__(self, preset, m, seeds=None):
         p = preset.arity
         if any(p % k == 0 for k in range(2, p)) or any(
             a.perm != tuple((c + a.perm[0]) % p for c in range(p))
@@ -725,7 +728,9 @@ class LayeredBasis:
         self.identity = state(range(points))
         self._pad = bytes(range(points, 256)) if points <= BYTES_POINTS else None
         self.rows = [[] for _ in range(m)]
-        queue = [state(g) for g in generator_actions(preset, m)]
+        gens = [state(g) for g in generator_actions(preset, m)]
+        # G_m is its own normal closure, so only seeded bases sift conjugates
+        queue, conjugators = (gens, ()) if seeds is None else (list(seeds), gens)
         while queue:
             j, r = self.sift(queue.pop())
             if j is None:
@@ -734,6 +739,7 @@ class LayeredBasis:
             r = self.power(r, pow(self.label(r, j, pivot), -1, p))
             queue.append(self.power(r, p))
             queue += [self.commutator(r, row) for rows in self.rows for _, row, _ in rows]
+            queue += [self.conj(r, g) for g in conjugators]
             r_inv = self.inv(r)
             inverses = [self.identity]
             for _ in range(1, p):

@@ -15,14 +15,6 @@ from dataclasses import dataclass, field
 from . import core, words
 
 
-class BallBudgetError(RuntimeError):
-    """Enumeration ran out of budget; carries the last complete radius."""
-
-    def __init__(self, message, last_complete):
-        super().__init__(message)
-        self.last_complete = last_complete
-
-
 class DedupMismatchError(RuntimeError):
     """The two deduplication paths disagreed; a correctness bug somewhere."""
 
@@ -67,15 +59,13 @@ class GrowthTable:
         return "\n".join(lines) + "\n"
 
 
-def ball(preset, n, threads=1, max_elements=None):
+def ball(preset, n, threads=1):
     """Deduplicated ball of radius n with geodesic words.
 
     Breadth-first, one sphere at a time: a new element keeps the least of
     its words that extend a word of the previous sphere by one generator,
     so the content is a pure function of (preset, n).  `threads` must be at
     least 1 and has no effect; the ball is always built serially.
-    Exceeding max_elements raises BallBudgetError carrying the last
-    completed radius.
     """
     if n < 0:
         raise ValueError("radius must be >= 0")
@@ -98,11 +88,6 @@ def ball(preset, n, threads=1, max_elements=None):
         fresh = sorted(candidates.items(), key=lambda kv: kv[1])
         for elem, word in fresh:
             entries[elem] = (level, word)
-        if max_elements is not None and len(entries) > max_elements:
-            raise BallBudgetError(
-                f"ball exceeded {max_elements} elements at radius {level}",
-                last_complete=level - 1,
-            )
         frontier = fresh
     return Ball(preset, n, entries)
 
@@ -185,12 +170,3 @@ def membership_counts(ball_, filt, k_test=None):
             raise FilterUnavailableError(str(exc)) from exc
         k_test = data.k_membership
     return sum(1 for e in ball_.entries if k_test(e))
-
-
-def geodesic_length(element, ball_):
-    try:
-        return ball_.entries[element][0]
-    except KeyError:
-        raise KeyError(
-            f"element {element!r} lies outside the radius-{ball_.radius} ball"
-        ) from None

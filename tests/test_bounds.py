@@ -1,17 +1,7 @@
-import math
-
 import pytest
 
-from griglab import bounds, conjugacy, enumeration
-from griglab.bounds import (
-    envelope_compare,
-    envelope_csv,
-    estimate_T,
-    grig_recursion_audit,
-    quotient_csv,
-    quotient_table,
-    sigma,
-)
+from griglab import bounds
+from griglab.bounds import estimate_T, grig_recursion_audit, sigma
 from griglab.conjugacy import ConjGrowthRow
 
 
@@ -66,49 +56,6 @@ def test_recursion_trivial_row():
     rows = [ConjGrowthRow(0, 1, 1, True)]
     rep = grig_recursion_audit(rows, T=1.0)
     assert rep.rows[0].holds
-
-
-def test_envelope_diagnostics():
-    rows = [(n, 5) for n in range(2, 12)]
-    diag = envelope_compare(rows)
-    rhos = [r for _, _, r, _, _ in diag]
-    assert all(x > y for x, y in zip(rhos, rhos[1:]))
-    exp_rows = [(n, round(math.exp(n))) for n in range(2, 12)]
-    diag = envelope_compare(exp_rows)
-    assert abs(diag[-1][2] - 1.0) < 0.01
-    # unstable rows skipped
-    assert envelope_compare([(1, 10), (4, 2)]) == []
-
-
-def test_envelope_csv_golden(grig):
-    table = enumeration.GrowthTable([(0, 1), (1, 5), (2, 11)])
-    rows = [
-        ConjGrowthRow(0, 1, 1, True),
-        ConjGrowthRow(1, 5, 5, True),
-        ConjGrowthRow(2, 8, 8, True),
-    ]
-    expected = (
-        "n,gamma,f_lower,f_upper,rho,env05,env767\n"
-        "0,1,1,1,,,\n"
-        "1,5,5,5,,,\n"
-        "2,11,8,8,1.056196,2.112392,1.377048\n"
-    )
-    assert envelope_csv(table, rows) == expected
-    assert envelope_csv(table, rows) == envelope_csv(table, rows)
-
-
-def test_quotient_table():
-    rows = [
-        ConjGrowthRow(0, 1, 1, True),
-        ConjGrowthRow(1, 5, 5, True),
-        ConjGrowthRow(2, 8, 8, True),
-    ]
-    out = quotient_table([(0, 1), (1, 5), (2, 11)], rows)
-    assert out[0] == (0, 1.0, 1.0)
-    assert out[1] == (1, 1.0, 1.0)
-    assert all(qu >= 1 and ql >= 1 for _, qu, ql in out)
-    csv = quotient_csv([(0, 1), (1, 5)], rows)
-    assert csv.splitlines()[1] == "0,1.000000,1.000000"
 
 
 def test_assembly_audit_n1(grig):

@@ -9,7 +9,6 @@ from griglab.conjugacy import (
     conj_growth_table,
     conjugator_search,
     depth_invariant,
-    infinite_classes_witness,
     quotient_separated,
     subball,
 )
@@ -146,18 +145,6 @@ def test_known_nonconjugate_pair_separates(grig):
     y = core.evaluate(grig, "ababab")
     assert conjugator_search(x, y, 8) is None
     assert quotient_separated(x, y, 4)
-
-
-def test_infinite_classes_witness(grig):
-    assert infinite_classes_witness(grig, 1) == [grig.identity]
-    w2 = infinite_classes_witness(grig, 2)
-    assert w2 == [grig.atom("a"), grig.atom("b")]
-    w5 = infinite_classes_witness(grig, 5, depth=6)
-    assert len(w5) == 5
-    invs = [depth_invariant(x, 6) for x in w5]
-    assert len(set(invs)) == 5
-    with pytest.raises(ValueError):
-        infinite_classes_witness(grig, 0)
 
 
 def test_subball(grig, ball8):

@@ -76,6 +76,59 @@ def test_normal_closure_index_stabilizes(grig):
     assert values == [2, 4, 16, 16]
 
 
+def _enumerated_normal_closure(preset, word, m):
+    """The normal closure of a word in G_m, enumerated.
+
+    The closure of the identity under right multiplication by the word's
+    image t and conjugation by the generators: it contains y*t^h whenever
+    it contains y, because y*t^h = (y^(h^-1) * t)^h.
+    """
+    target = core.level_action(core.evaluate(preset, word), m)
+    moves = [core.right_mul(target)]
+    moves += [core.conjugation(g) for g in core.generator_actions(preset, m)]
+    image, _ = core.closure([core.state(range(preset.arity**m))], moves)
+    return image
+
+
+@pytest.mark.parametrize(
+    "name, word, levels", [("grigorchuk", "abab", 5), ("gupta-sidki-3", "suutu", 4)]
+)
+def test_normal_closure_basis_agrees_with_the_enumeration(name, word, levels):
+    # [t, u] = t^-1 u^-1 t u is "suutu" on gupta-sidki-3, where s = t^-1
+    preset = core.load_preset(name)
+    rng = random.Random(levels)
+    for m in range(levels):
+        quotient = constructions.level_quotient(preset, m)
+        image = _enumerated_normal_closure(preset, word, m)
+        basis = constructions.normal_closure_basis(preset, word, m)
+        assert basis.order() == len(image)
+        for _ in range(300):
+            s = core.state(_random_rotations(preset.arity, m, rng))
+            assert (s in basis) == (s in image)
+        # right cosets N*g, each named by its least member: the enumeration
+        # multiplies the image out, the basis sifts s * r**-1 for every
+        # coset name r so far; the identity comes first, so this also
+        # decides the membership of every element of the quotient
+        by_closure, by_basis, names = {}, {}, []
+        for s in sorted(quotient):
+            if s not in by_closure:
+                by_closure.update(dict.fromkeys(map(core.right_mul(s), image), s))
+            r = next((r for r in names if basis.mul(s, basis.inv(r)) in basis), None)
+            if r is None:
+                names.append(r := s)
+            by_basis[s] = r
+        assert by_basis == by_closure
+
+
+def test_normal_closure_index_beyond_the_enumeration():
+    # the parent's enumeration needed 3^17 states for this one
+    gs = core.load_preset("gupta-sidki-3")
+    assert [normal_closure_index(gs, "suutu", m) for m in (2, 3, 4)] == [9, 9, 9]
+    grig = core.load_preset("grigorchuk")
+    for m in range(5, 8):
+        assert normal_closure_index(grig, "abab", m) == 16
+
+
 def test_branching_data(grig):
     data = branching_data(grig)
     assert data.level == 3

@@ -3,10 +3,8 @@ import pytest
 from griglab import core, enumeration, words
 from griglab.enumeration import (
     Ball,
-    BallBudgetError,
     DedupMismatchError,
     ball,
-    geodesic_length,
     growth_table,
     membership_counts,
 )
@@ -24,12 +22,6 @@ def test_ball_closure_invariant(grig, ball6):
         if ln < ball6.radius:
             for g in gens:
                 assert core.multiply(e, g) in ball6.entries
-
-
-def test_ball_budget_error(grig):
-    with pytest.raises(BallBudgetError) as err:
-        ball(grig, 6, max_elements=20)
-    assert err.value.last_complete in (1, 2)
 
 
 def test_geodesic_words_are_geodesic(grig, ball6):
@@ -92,16 +84,6 @@ def test_parity_vector_well_defined_on_ball6(grig):
     for e, ws in by_element.items():
         vectors = {words.parity_vector(w) for w in ws}
         assert len(vectors) == 1
-
-
-def test_geodesic_length_examples(grig, ball6):
-    assert geodesic_length(grig.identity, ball6) == 0
-    assert geodesic_length(grig.atom("d"), ball6) == 1
-    assert geodesic_length(core.evaluate(grig, "bc"), ball6) == 1
-    outside = core.evaluate(grig, "abababab")
-    if outside not in ball6.entries:
-        with pytest.raises(KeyError):
-            geodesic_length(outside, ball6)
 
 
 def test_ball_closure_radius_3(grig):
