@@ -16,19 +16,10 @@ import argparse
 import json
 import random
 import sys
-import traceback
-from dataclasses import dataclass
 
-from . import (
-    bounds,
-    conjugacy,
-    constructions,
-    core,
-    enumeration,
-    expressions,
-    width,
-    words,
-)
+# A growth run needs only these; every other layer is imported by the
+# subcommand or audit that uses it, so start-up pays for nothing unused.
+from . import core, enumeration, words
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -57,18 +48,26 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
 class RunConfig:
-    group: str = "grigorchuk"
-    max_length: int = 8
-    depth: int = 8
-    radius: int = 6
-    threads: int = 1
-    out_format: str = "csv"
-    seed: int = 0
-    budget_seconds: float | None = None
-
-    def __post_init__(self):
+    def __init__(
+        self,
+        group="grigorchuk",
+        max_length=8,
+        depth=8,
+        radius=6,
+        threads=1,
+        out_format="csv",
+        seed=0,
+        budget_seconds=None,
+    ):
+        self.group = group
+        self.max_length = max_length
+        self.depth = depth
+        self.radius = radius
+        self.threads = threads
+        self.out_format = out_format
+        self.seed = seed
+        self.budget_seconds = budget_seconds
         minima = {"max_length": 0, "depth": 0, "radius": 0, "threads": 1, "budget_seconds": 0}
         for name, least in minima.items():
             value = getattr(self, name)
@@ -110,10 +109,13 @@ def _config(args):
     )
 
 
-def _emit(text, out_path):
+def _emit(text, out_path, flag="--out"):
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {flag} {out_path}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -133,6 +135,8 @@ def cmd_growth(config, out_path):
 
 
 def cmd_conjgrowth(config, out_path, witness_path=None):
+    from . import conjugacy
+
     preset = config.preset()
     if preset.arity != 2:
         raise UsageError(
@@ -143,7 +147,7 @@ def cmd_conjgrowth(config, out_path, witness_path=None):
         ball_, config.depth, config.radius, escalate_to=config.radius + 2
     )
     if witness_path:
-        _emit(part.witness_json(), witness_path)
+        _emit(part.witness_json(), witness_path, "--witness-out")
     if config.out_format == "json":
         payload = [vars(r) for r in part.rows()]
         _emit(json.dumps(payload, sort_keys=True) + "\n", out_path)
@@ -153,6 +157,8 @@ def cmd_conjgrowth(config, out_path, witness_path=None):
 
 
 def cmd_width(config, target_expr, mode, out_path):
+    from . import width
+
     if config.group != "grigorchuk":
         raise UsageError("width targets are words of the built-in grigorchuk preset only")
     preset = config.preset()
@@ -187,6 +193,8 @@ def cmd_width(config, target_expr, mode, out_path):
 
 
 def _audit_subwords(config, preset, rng):
+    from . import constructions
+
     failures = []
     for n in range(7):
         for w1 in words.enumerate_reduced(n):
@@ -225,6 +233,8 @@ def _k_ball_members(preset, data, radius=8):
 
 
 def _audit_comm_k(config, preset, rng):
+    from . import constructions
+
     data = constructions.branching_data(preset)
     members = _k_ball_members(preset, data)
     ok = 0
@@ -248,6 +258,8 @@ def _audit_comm_k(config, preset, rng):
 
 
 def _audit_comm_g(config, preset, rng):
+    from . import constructions
+
     data = constructions.branching_data(preset)
     ball_ = enumeration.ball(preset, min(config.max_length, 6))
     pool = [w for _, (_, w) in ball_.sorted_items()]
@@ -279,6 +291,8 @@ def _audit_comm_g(config, preset, rng):
 
 
 def _audit_bcw_rewrite(config, preset, rng):
+    from . import expressions, width
+
     gens = preset.gen_labels
     conj_pool = [w for n in range(5) for w in words.enumerate_reduced(n)]
     failures = []
@@ -308,6 +322,8 @@ def _audit_bcw_rewrite(config, preset, rng):
 
 
 def _audit_palindrome(config, preset, rng):
+    from . import width
+
     checked, violations = width.palindrome_conjugate_check(9, preset)
     ball_ = enumeration.ball(preset, 6)
     decomposed = 0
@@ -337,6 +353,8 @@ def _audit_palindrome(config, preset, rng):
 
 
 def _audit_dihedral(config, preset, rng):
+    from . import width
+
     rows, worst = width.dihedral_width_report(20)
     report = {
         "lemma": "dihedral",
@@ -349,6 +367,8 @@ def _audit_dihedral(config, preset, rng):
 
 
 def _audit_recursion(config, preset, rng):
+    from . import bounds, conjugacy
+
     n_max = min(config.max_length, 8)
     ball_ = enumeration.ball(preset, n_max)
     gamma_rows = [(n, ball_.count_within(n)) for n in range(n_max + 1)]
@@ -379,6 +399,8 @@ def _audit_recursion(config, preset, rng):
 
 
 def _audit_assembly(config, preset, rng):
+    from . import bounds, constructions
+
     rep = bounds.assembly_audit(min(config.max_length, 2), preset)
     report = {
         "lemma": "assembly",
@@ -483,6 +505,8 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception:  # noqa: BLE001 - never let a crash read as exit 1
+        import traceback
+
         traceback.print_exc()
         return EXIT_INTERNAL
 

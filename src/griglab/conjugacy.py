@@ -232,24 +232,36 @@ def conjugator_search(x, y, radius, search_ball=None):
     Meet in the middle: z = u*v with u in B(ceil(R/2)) and v in B(floor(R/2))
     covers B(R) exactly, because a geodesic word for z splits at the middle.
     Returns the witness word (re-verified before returning) or None, which
-    certifies only that no conjugator exists within B(radius).
+    certifies only that no conjugator exists within B(radius).  The half
+    tables {x^u: first word u} and [(y^(v^-1), word v)], both in (length,
+    word) order, depend only on one element and one half-radius, so they
+    are kept in the preset's `conjugator_tables` cache and reused by every
+    later search with that element on the same side.
     """
     core._check_same_preset(x, y)
     preset = x.preset
     r1 = (radius + 1) // 2
     r2 = radius - r1
-    if search_ball is None or search_ball.radius < r1:
-        search_ball = enumeration.ball(preset, r1)
-    items = search_ball.sorted_items()
-    left = {}
-    for u, (ln, word) in items:
-        if ln > r1:
-            break
-        left.setdefault(core.conjugate(x, u), word)
-    for v, (ln, word) in items:
-        if ln > r2:
-            break
-        target = core.conjugate(y, core.invert(v))
+    tables = preset.cache("conjugator_tables")
+    left = tables.get(("left", x, r1))
+    right = tables.get(("right", y, r2))
+    if left is None or right is None:
+        if search_ball is None or search_ball.radius < r1:
+            search_ball = enumeration.ball(preset, r1)
+        items = search_ball.sorted_items()
+        if left is None:
+            left = tables[("left", x, r1)] = {}
+            for u, (ln, word) in items:
+                if ln > r1:
+                    break
+                left.setdefault(core.conjugate(x, u), word)
+        if right is None:
+            right = tables[("right", y, r2)] = [
+                (core.conjugate(y, core.invert(v)), word)
+                for v, (ln, word) in items
+                if ln <= r2
+            ]
+    for target, word in right:
         got = left.get(target)
         if got is not None:
             z_word = got + word

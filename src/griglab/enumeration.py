@@ -10,7 +10,6 @@ two counts must agree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from . import core, words
 
@@ -23,11 +22,11 @@ class FilterUnavailableError(RuntimeError):
     """A membership filter cannot be evaluated yet."""
 
 
-@dataclass
 class Ball:
-    preset: object
-    radius: int
-    entries: dict = field(repr=False)  # Element -> (geodesic length, word)
+    def __init__(self, preset, radius, entries):
+        self.preset = preset
+        self.radius = radius
+        self.entries = entries  # Element -> (geodesic length, word)
 
     def __len__(self):
         return len(self.entries)
@@ -43,9 +42,9 @@ class Ball:
         return sum(1 for ln, _ in self.entries.values() if ln <= n)
 
 
-@dataclass
 class GrowthTable:
-    rows: list  # (n, gamma)
+    def __init__(self, rows):
+        self.rows = rows  # (n, gamma)
 
     def gamma(self, n):
         for m, g in self.rows:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -194,3 +198,51 @@ def test_internal_error_exits_4(monkeypatch, capsys):
     assert run(["growth", "--max-length", "2"]) == cli.EXIT_INTERNAL == 4
     err = capsys.readouterr().err
     assert err.startswith("Traceback") and "RuntimeError: boom" in err
+
+
+@pytest.mark.parametrize("flag", ["--out", "--witness-out"])
+def test_unwritable_output_exits_3(tmp_path, flag, capsys):
+    missing = tmp_path / "no" / "such" / "file"
+    argv = ["conjgrowth", "--max-length", "2", "--depth", "4", "--radius", "2"]
+    assert run(argv + [flag, str(missing)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: cannot write {flag} {missing}: ")
+
+
+# Prints the modules a fresh process newly imports while running the CLI;
+# modules that a site hook loads before griglab do not count.
+_LOADED_BY_MAIN = """
+import json, os, sys
+before = set(sys.modules)
+from griglab import cli
+code = cli.main(sys.argv[1:] + ["--out", os.devnull])
+print(json.dumps({"code": code, "new": sorted(set(sys.modules) - before)}))
+"""
+
+
+def _loaded_by(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_BY_MAIN, *argv],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    result = json.loads(proc.stdout)
+    assert result["code"] == 0, proc.stderr
+    return set(result["new"])
+
+
+def test_subcommands_import_only_their_layers():
+    new = _loaded_by(["growth", "--max-length", "3"])
+    assert {m for m in new if m.split(".")[0] == "griglab"} == {
+        "griglab",
+        "griglab.cli",
+        "griglab.core",
+        "griglab.words",
+        "griglab.enumeration",
+    }
+    assert not new & {"dataclasses", "traceback"}
+    new = _loaded_by(["conjgrowth", "--max-length", "3", "--depth", "4", "--radius", "2"])
+    assert "griglab.conjugacy" in new
+    assert not new & {"griglab.bounds", "griglab.width"}
+    new = _loaded_by(["width", "--target", "abab", "--radius", "2"])
+    assert "griglab.width" in new
+    assert not new & {"griglab.conjugacy", "griglab.constructions", "griglab.bounds"}

@@ -60,6 +60,26 @@ def test_conjugator_search_examples(grig):
     assert core.equals(core.conjugate(grig.atom("b"), core.evaluate(grig, z)), y)
 
 
+def test_conjugator_search_reuses_its_half_tables(monkeypatch):
+    warm = core.GroupPreset("grigorchuk", 2, core.GRIGORCHUK_SPECS)
+    cold = core.GroupPreset("grigorchuk", 2, core.GRIGORCHUK_SPECS)
+    targets = ["aca", "abad", "dacab"]
+
+    def search(preset, conj):
+        b = preset.atom("b")
+        return conjugator_search(b, core.conjugate(b, core.evaluate(preset, conj)), 6)
+
+    assert all(search(warm, t) for t in targets)
+    calls = []
+    real = core.conjugate
+    monkeypatch.setattr(core, "conjugate", lambda g, h: calls.append(h) or real(g, h))
+    again = [search(warm, t) for t in targets]
+    # with both tables cached, each search conjugates twice: once to build
+    # its target and once to re-check the witness
+    assert len(calls) == 2 * len(targets)
+    assert again == [search(cold, t) for t in targets]
+
+
 def test_search_success_implies_equal_invariants(grig, ball6):
     rng = random.Random(9)
     pool = [e for e, _ in ball6.sorted_items()]

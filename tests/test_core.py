@@ -319,4 +319,5 @@ def test_derived_data_is_cached_only_in_the_registry():
         "conjugate_set",
         "conjugate_pair_set",
         "commutator_set",
+        "conjugator_tables",
     }
