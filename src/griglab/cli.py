@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -107,6 +108,20 @@ def _config(args):
         seed=args.seed,
         budget_seconds=args.budget_seconds,
     )
+
+
+def _check_writable(path, flag):
+    """Raise before any work the UsageError that _emit would raise after it."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        reason = "is a directory"
+    elif not os.path.isdir(parent):
+        reason = "no such directory"
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        reason = "permission denied"
+    else:
+        return
+    raise UsageError(f"cannot write {flag} {path}: {reason}")
 
 
 def _emit(text, out_path, flag="--out"):
@@ -492,6 +507,10 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         config = _config(args)
+        outputs = {"--out": args.out, "--witness-out": getattr(args, "witness_out", None)}
+        for flag, path in outputs.items():
+            if path:
+                _check_writable(path, flag)
         if args.command == "growth":
             return cmd_growth(config, args.out)
         if args.command == "conjgrowth":

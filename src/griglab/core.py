@@ -90,8 +90,9 @@ class GroupPreset:
     Construction validates the table, builds the generator atoms (plus
     inverse atoms for non-involutive generators), certifies the declared
     involutions and the pairwise distinctness of the atoms, and resolves
-    every product of two atoms.  Atom products that equal an atom feed the
-    word rewriting table used by :mod:`griglab.words`.
+    every product of two atoms.  Atom products that equal an atom feed
+    `pair_rules`, the word rewriting table used by :mod:`griglab.words` and
+    :func:`griglab.enumeration.ball`.
     """
 
     def __init__(self, name, arity, generator_specs, identity_budget=DEFAULT_IDENTITY_BUDGET):
@@ -112,13 +113,12 @@ class GroupPreset:
 
         self._build_atoms()
         self._startup_checks()
-        # (label, label) -> label or "" for products of atoms that land in
-        # the atom set; populated by _seed_atom_products, certified first
-        self.pair_rewrites = {}
+        # two-letter word -> "" or a one-letter word for the products of two
+        # single-character generators certified to be trivial or an atom with
+        # a single-character label; populated by _seed_atom_products
+        self.pair_rules = {}
         self._seed_atom_products()
-        self.relations_for_reduction = sorted(
-            (u + v, w) for (u, v), w in self.pair_rewrites.items()
-        )
+        self._mul = self._product_kernel()
 
     # ------------------------------------------------------------------
     # validation and atom construction
@@ -341,10 +341,9 @@ class GroupPreset:
                     word = (u, v, self._inverse_atom[t])
                     if self.word_acts_trivially(word):
                         self._mul_memo[(u, v)] = t
-                        if t.label is not None:
-                            self.pair_rewrites[(u.label, v.label)] = (
-                                "" if t is self.identity else t.label
-                            )
+                        rule = "" if t is self.identity else t.label
+                        if len(u.label) == len(v.label) == 1 and len(rule) <= 1:
+                            self.pair_rules[u.label + v.label] = rule
                         break
 
         in_progress = set()
@@ -380,6 +379,29 @@ class GroupPreset:
 
     # ------------------------------------------------------------------
     # element construction
+
+    def _product_kernel(self):
+        """The product x*y of two elements of this preset, memoised.
+
+        The sections of an element belong to its preset, so the recursion
+        needs no preset check; `multiply` makes it once per call.
+        """
+        memo, make, one = self._mul_memo, self.make_element, self.identity
+        points = range(self.arity)
+
+        def mul(x, y):
+            if x is one:
+                return y
+            if y is one:
+                return x
+            out = memo.get((x, y))
+            if out is None:
+                xs, yp, ys = x.sections, y.perm, y.sections
+                sections = tuple([mul(xs[yp[v]], ys[v]) for v in points])
+                out = memo[(x, y)] = make(compose(x.perm, yp), sections)
+            return out
+
+        return mul
 
     def make_element(self, perm, sections):
         """Intern the automorphism with the given shape.
@@ -431,22 +453,7 @@ def _check_same_preset(x, y):
 def multiply(x, y):
     """Product x*y acting by (x*y)(w) = x(y(w))."""
     _check_same_preset(x, y)
-    preset = x.preset
-    if x is preset.identity:
-        return y
-    if y is preset.identity:
-        return x
-    memo = preset._mul_memo
-    got = memo.get((x, y))
-    if got is not None:
-        return got
-    perm = compose(x.perm, y.perm)
-    sections = tuple(
-        multiply(x.sections[y.perm[v]], y.sections[v]) for v in range(preset.arity)
-    )
-    out = preset.make_element(perm, sections)
-    memo[(x, y)] = out
-    return out
+    return x.preset._mul(x, y)
 
 
 def invert(x):
@@ -501,12 +508,16 @@ def canonical_key(x):
 
 def conjugate(x, z):
     """z**-1 * x * z."""
-    return multiply(multiply(invert(z), x), z)
+    _check_same_preset(x, z)
+    mul = x.preset._mul
+    return mul(mul(invert(z), x), z)
 
 
 def commutator(x, y):
     """x**-1 * y**-1 * x * y."""
-    return multiply(multiply(invert(x), invert(y)), multiply(x, y))
+    _check_same_preset(x, y)
+    mul = x.preset._mul
+    return mul(mul(invert(x), invert(y)), mul(x, y))
 
 
 def level_action(x, m):
@@ -548,11 +559,10 @@ def generator_actions(preset, m):
 
 def evaluate(preset, word):
     """Element of a word over generator labels (single characters)."""
-    e = preset.identity
+    mul, e = preset._mul, preset.identity
     for ch in word:
-        if ch == IDENTITY_LABEL:
-            continue
-        e = multiply(e, preset.atom(ch))
+        if ch != IDENTITY_LABEL:
+            e = mul(e, preset.atom(ch))
     if e.word is None:
         e.word = word
     return e

@@ -63,8 +63,10 @@ def ball(preset, n, threads=1):
 
     Breadth-first, one sphere at a time: a new element keeps the least of
     its words that extend a word of the previous sphere by one generator,
-    so the content is a pure function of (preset, n).  `threads` must be at
-    least 1 and has no effect; the ball is always built serially.
+    so the content is a pure function of (preset, n).  An extension whose
+    last two letters form a certified pair rule is not multiplied: it
+    equals a word at most as long, already in the ball.  `threads` must be
+    at least 1 and has no effect; the ball is always built serially.
     """
     if n < 0:
         raise ValueError("radius must be >= 0")
@@ -73,10 +75,16 @@ def ball(preset, n, threads=1):
     entries = {preset.identity: (0, "")}
     frontier = [(preset.identity, "")]
     gens = [(label, preset.atoms[label]) for label in preset.gen_labels]
+    # the rules name single-character labels, so the last character of a
+    # word is its last letter only when every label is one character long
+    rules = preset.pair_rules if all(len(label) == 1 for label, _ in gens) else {}
     for level in range(1, n + 1):
         candidates = {}
         for elem, word in frontier:
+            last = word[-1:]
             for label, g in gens:
+                if last + label in rules:
+                    continue
                 ne = core.multiply(elem, g)
                 if ne in entries:
                     continue

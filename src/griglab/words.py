@@ -16,22 +16,13 @@ GRIG_ALPHABET = "abcd"
 _STARS = "bcd"
 
 
-def _rewrites(preset):
-    rules = {}
-    for (u, v), w in preset.pair_rewrites.items():
-        if len(u) == 1 and len(v) == 1 and len(w) <= 1:
-            rules[u + v] = w
-    return rules
-
-
 def reduce(word, preset=None):
     """Shortest word for the same element under the certified pair rules.
 
     Leftmost-innermost: letters are pushed onto a stack and the top pair is
     rewritten until stable, so one pass suffices and the result is a fixpoint.
     """
-    preset = preset or core.load_preset("grigorchuk")
-    rules = _rewrites(preset)
+    rules = (preset or core.load_preset("grigorchuk")).pair_rules
     stack = []
     for ch in word:
         stack.append(ch)
@@ -53,8 +44,7 @@ def rewrite_once(word, pos, rule, repl):
 
 
 def applicable_rewrites(word, preset=None):
-    preset = preset or core.load_preset("grigorchuk")
-    rules = _rewrites(preset)
+    rules = (preset or core.load_preset("grigorchuk")).pair_rules
     out = []
     for i in range(len(word) - 1):
         pair = word[i : i + 2]

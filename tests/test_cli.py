@@ -208,6 +208,27 @@ def test_unwritable_output_exits_3(tmp_path, flag, capsys):
     assert capsys.readouterr().err.startswith(f"error: cannot write {flag} {missing}: ")
 
 
+def test_unwritable_output_is_rejected_before_any_work(tmp_path):
+    # radius 60 would run for hours, so only the up-front check can finish
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    argv = ["growth", "--max-length", "60", "--out", str(tmp_path / "no" / "x.csv")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "griglab.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=5,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: cannot write --out ")
+
+
+def test_unwritable_out_writes_no_witness_file(tmp_path, capsys):
+    witness = tmp_path / "w.json"
+    argv = ["conjgrowth", "--max-length", "2", "--depth", "4", "--radius", "2"]
+    argv += ["--witness-out", str(witness), "--out", str(tmp_path / "no" / "f.csv")]
+    assert run(argv) == 3
+    assert capsys.readouterr().err.startswith("error: cannot write --out ")
+    assert not witness.exists()
+
+
 # Prints the modules a fresh process newly imports while running the CLI;
 # modules that a site hook loads before griglab do not count.
 _LOADED_BY_MAIN = """

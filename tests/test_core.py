@@ -12,6 +12,8 @@ from griglab.core import (
     Portrait,
     PresetError,
     canonical_key,
+    commutator,
+    conjugate,
     equals,
     evaluate,
     invert,
@@ -79,9 +81,14 @@ def test_multiply_examples(grig):
 
 
 def test_multiply_rejects_mixed_presets(grig):
+    # conjugate and commutator call the product kernel without multiply,
+    # so each makes the preset check itself
     gs = load_preset("gupta-sidki-3")
-    with pytest.raises(MixedPresetError):
-        multiply(grig.atom("a"), gs.atom("t"))
+    for op in (multiply, conjugate, commutator):
+        with pytest.raises(MixedPresetError):
+            op(grig.atom("a"), gs.atom("t"))
+        with pytest.raises(MixedPresetError):
+            op(gs.atom("t"), grig.atom("a"))
 
 
 def test_invert_examples(grig):
@@ -141,17 +148,19 @@ def test_level_action_examples(grig):
 
 
 def test_level_action_homomorphism(grig, ball6):
-    b5 = sorted(
-        (e for e, (ln, _) in ball6.entries.items() if ln <= 5),
-        key=lambda e: ball6.entries[e],
-    )
-    for m in range(1, 7):
-        for x in b5:
-            ax = level_action(x, m)
-            for y in b5:
-                ay = level_action(y, m)
-                composed = tuple(ax[ay[i]] for i in range(len(ay)))
-                assert level_action(multiply(x, y), m) == composed
+    # gupta-sidki-3 gives the product kernel its only non-binary input
+    cases = [
+        ([e for e, (ln, _) in ball6.sorted_items() if ln <= 5], 6),
+        ([e for e, _ in enumeration.ball(load_preset("gupta-sidki-3"), 3).sorted_items()], 4),
+    ]
+    for pool, levels in cases:
+        for m in range(1, levels + 1):
+            for x in pool:
+                ax = level_action(x, m)
+                for y in pool:
+                    ay = level_action(y, m)
+                    composed = tuple(ax[ay[i]] for i in range(len(ay)))
+                    assert level_action(multiply(x, y), m) == composed
 
 
 def test_associativity_on_ball_sample(grig, ball6):

@@ -24,6 +24,41 @@ def test_ball_closure_invariant(grig, ball6):
                 assert core.multiply(e, g) in ball6.entries
 
 
+def _reference_ball(preset, n):
+    """B(n) by plain BFS: every frontier element times every generator."""
+    entries = {preset.identity: (0, "")}
+    frontier = {preset.identity: ""}
+    for level in range(1, n + 1):
+        fresh = {}
+        for elem, word in frontier.items():
+            for label in preset.gen_labels:
+                ne, nw = core.multiply(elem, preset.atom(label)), word + label
+                if ne not in entries and (ne not in fresh or nw < fresh[ne]):
+                    fresh[ne] = nw
+        entries.update((e, (level, w)) for e, w in fresh.items())
+        frontier = fresh
+    return entries
+
+
+# "xb" ends in the letter of the rule "bb", but xb*b is a new element: the
+# skip must not read the last character of a word as its last label
+TWO_LETTER_LABEL_SPECS = core.GRIGORCHUK_SPECS + [
+    {"label": "xb", "involution": True, "perm": [0, 1], "sections": ["b", "b"]}
+]
+
+
+@pytest.mark.parametrize(
+    "name, n", [("grigorchuk", 10), ("gupta-sidki-3", 6), ("two-letter-label", 6)]
+)
+def test_ball_skipping_pair_rules_matches_plain_bfs(name, n):
+    if name == "two-letter-label":
+        preset = core.GroupPreset(name, 2, TWO_LETTER_LABEL_SPECS)
+    else:
+        preset = core.load_preset(name)
+    assert preset.pair_rules  # so ball could skip products
+    assert ball(preset, n).entries == _reference_ball(preset, n)
+
+
 def test_geodesic_words_are_geodesic(grig, ball6):
     for e, (ln, w) in ball6.entries.items():
         assert len(w) == ln
