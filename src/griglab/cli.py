@@ -49,40 +49,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-class RunConfig:
-    def __init__(
-        self,
-        group="grigorchuk",
-        max_length=8,
-        depth=8,
-        radius=6,
-        threads=1,
-        out_format="csv",
-        seed=0,
-        budget_seconds=None,
-    ):
-        self.group = group
-        self.max_length = max_length
-        self.depth = depth
-        self.radius = radius
-        self.threads = threads
-        self.out_format = out_format
-        self.seed = seed
-        self.budget_seconds = budget_seconds
-        minima = {"max_length": 0, "depth": 0, "radius": 0, "threads": 1, "budget_seconds": 0}
-        for name, least in minima.items():
-            value = getattr(self, name)
-            if value is not None and not value >= least:  # NaN fails too
-                raise UsageError(f"--{name.replace('_', '-')} must be at least {least}")
-
-    def preset(self):
-        try:
-            return core.load_preset(self.group)
-        except (core.PresetError, core.NonContractingError, core.UndecidedError) as exc:
-            raise UsageError(f"--group {self.group}: {exc}") from exc
-
-    def rng(self):
-        return random.Random(self.seed)
+def _preset(config):
+    try:
+        return core.load_preset(config.group)
+    except (core.PresetError, core.NonContractingError, core.UndecidedError) as exc:
+        raise UsageError(f"--group {config.group}: {exc}") from exc
 
 
 def _add_common(parser):
@@ -95,19 +66,6 @@ def _add_common(parser):
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--budget-seconds", type=float, default=None)
     parser.add_argument("--out", default=None, help="output file (default stdout)")
-
-
-def _config(args):
-    return RunConfig(
-        group=args.group,
-        max_length=args.max_length,
-        depth=args.depth,
-        radius=args.radius,
-        threads=args.threads,
-        out_format=args.out_format,
-        seed=args.seed,
-        budget_seconds=args.budget_seconds,
-    )
 
 
 def _check_writable(path, flag):
@@ -140,7 +98,7 @@ def _emit(text, out_path, flag="--out"):
 
 
 def cmd_growth(config, out_path):
-    preset = config.preset()
+    preset = _preset(config)
     table = enumeration.growth_table(preset, config.max_length)
     if config.out_format == "json":
         _emit(json.dumps({"rows": table.rows}, sort_keys=True) + "\n", out_path)
@@ -152,7 +110,7 @@ def cmd_growth(config, out_path):
 def cmd_conjgrowth(config, out_path, witness_path=None):
     from . import conjugacy
 
-    preset = config.preset()
+    preset = _preset(config)
     if preset.arity != 2:
         raise UsageError(
             f"conjgrowth needs a binary preset; {preset.name!r} has arity {preset.arity}"
@@ -176,7 +134,7 @@ def cmd_width(config, target_expr, mode, out_path):
 
     if config.group != "grigorchuk":
         raise UsageError("width targets are words of the built-in grigorchuk preset only")
-    preset = config.preset()
+    preset = _preset(config)
     try:
         word = words.parse_word_expr(target_expr)
     except ValueError as exc:
@@ -455,13 +413,13 @@ def cmd_audit(config, lemma, out_path):
         )
     if config.group != "grigorchuk":
         raise UsageError("audit lemmas are stated for the built-in grigorchuk preset only")
-    preset = config.preset()
+    preset = _preset(config)
     names = list(AUDIT_LEMMAS) if lemma == "all" else [lemma]
     reports = []
     any_failed = False
     any_inconclusive = False
     for name in names:
-        rng = config.rng()
+        rng = random.Random(config.seed)
         report, inconclusive = _AUDITS[name](config, preset, rng)
         reports.append(report)
         any_failed |= report["status"] == "failed"
@@ -506,19 +464,23 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        config = _config(args)
+        minima = {"max_length": 0, "depth": 0, "radius": 0, "threads": 1, "budget_seconds": 0}
+        for name, least in minima.items():
+            value = getattr(args, name)
+            if value is not None and not value >= least:  # NaN fails too
+                raise UsageError(f"--{name.replace('_', '-')} must be at least {least}")
         outputs = {"--out": args.out, "--witness-out": getattr(args, "witness_out", None)}
         for flag, path in outputs.items():
             if path:
                 _check_writable(path, flag)
         if args.command == "growth":
-            return cmd_growth(config, args.out)
+            return cmd_growth(args, args.out)
         if args.command == "conjgrowth":
-            return cmd_conjgrowth(config, args.out, args.witness_out)
+            return cmd_conjgrowth(args, args.out, args.witness_out)
         if args.command == "audit":
-            return cmd_audit(config, args.lemma, args.out)
+            return cmd_audit(args, args.lemma, args.out)
         if args.command == "width":
-            return cmd_width(config, args.target, args.mode, args.out)
+            return cmd_width(args, args.target, args.mode, args.out)
         raise UsageError(f"unknown command {args.command!r}")
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

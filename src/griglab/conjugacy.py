@@ -18,14 +18,13 @@ refinements.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 from . import constructions, core, enumeration
 
 _UNIT = ("u",)
 
-DEFAULT_BUCKET_QUOTIENT_LEVEL = 4
+BUCKET_QUOTIENT_LEVEL = 4
 DEFAULT_SEPARATION_LEVEL = 5
 
 
@@ -226,7 +225,7 @@ class UnionFind:
         return True
 
 
-def conjugator_search(x, y, radius, search_ball=None):
+def conjugator_search(x, y, radius):
     """Find z with x^z = y, |z| <= radius, or certify there is none.
 
     Meet in the middle: z = u*v with u in B(ceil(R/2)) and v in B(floor(R/2))
@@ -236,7 +235,8 @@ def conjugator_search(x, y, radius, search_ball=None):
     tables {x^u: first word u} and [(y^(v^-1), word v)], both in (length,
     word) order, depend only on one element and one half-radius, so they
     are kept in the preset's `conjugator_tables` cache and reused by every
-    later search with that element on the same side.
+    later search with that element on the same side; so is the half ball
+    B(ceil(R/2)) they are built from, once per half-radius.
     """
     core._check_same_preset(x, y)
     preset = x.preset
@@ -246,14 +246,12 @@ def conjugator_search(x, y, radius, search_ball=None):
     left = tables.get(("left", x, r1))
     right = tables.get(("right", y, r2))
     if left is None or right is None:
-        if search_ball is None or search_ball.radius < r1:
-            search_ball = enumeration.ball(preset, r1)
-        items = search_ball.sorted_items()
+        items = tables.get(("ball", r1))
+        if items is None:
+            items = tables[("ball", r1)] = enumeration.ball(preset, r1).sorted_items()
         if left is None:
             left = tables[("left", x, r1)] = {}
-            for u, (ln, word) in items:
-                if ln > r1:
-                    break
+            for u, (_, word) in items:
                 left.setdefault(core.conjugate(x, u), word)
         if right is None:
             right = tables[("right", y, r2)] = [
@@ -322,14 +320,12 @@ def class_partition(
     ball_,
     depth,
     radius,
-    search_ball=None,
     escalate_to=None,
-    bucket_level=DEFAULT_BUCKET_QUOTIENT_LEVEL,
     separation_level=DEFAULT_SEPARATION_LEVEL,
 ):
     """Certified conjugacy bracket over the members of a ball.
 
-    Buckets are keyed by (depth invariant, level quotient class); merges run
+    Buckets are keyed by (depth invariant, level-4 quotient class); merges run
     conjugator searches within buckets, shortest members first.  Classes
     still sharing a bucket are separated by the layer lift, an exact
     conjugacy decision in the level-`separation_level` quotient, in (length,
@@ -342,16 +338,13 @@ def class_partition(
     word_of = {e: w for e, (_, w) in ball_.entries.items()}
     buckets = {}
     for e in members:
-        key = (depth_invariant(e, depth), quotient_class_id(e, bucket_level))
+        key = (depth_invariant(e, depth), quotient_class_id(e, BUCKET_QUOTIENT_LEVEL))
         buckets.setdefault(key, []).append(e)
     uf = UnionFind(members)
     witnesses = {}
-    if search_ball is None:
-        half = (max(radius, escalate_to or 0) + 1) // 2
-        search_ball = enumeration.ball(ball_.preset, half)
 
     def merge(x, y, r):
-        z = conjugator_search(x, y, r, search_ball)
+        z = conjugator_search(x, y, r)
         if z is not None and uf.union(x, y):
             witnesses[(word_of[x], word_of[y])] = z
 
@@ -394,10 +387,6 @@ def class_partition(
     )
 
 
-def default_invariant_depth(n):
-    return math.ceil(math.log2(max(n, 2))) + 3
-
-
 def subball(ball_, n):
     """The radius-n ball carved out of a larger one."""
     if n > ball_.radius:
@@ -406,14 +395,12 @@ def subball(ball_, n):
     return enumeration.Ball(ball_.preset, n, entries)
 
 
-def conj_growth_table(preset, n_max, depth=None, radius=6, ball_=None, **kwargs):
+def conj_growth_table(preset, n_max, depth, radius=6, ball_=None, **kwargs):
     """Bracket rows for conjugacy growth up to radius n_max.
 
     Every row is read off one class_partition of B(n_max), which takes the
     other keywords (escalate_to among them).
     """
-    if depth is None:
-        depth = default_invariant_depth(n_max)
     if ball_ is None or ball_.radius < n_max:
         ball_ = enumeration.ball(preset, n_max)
     return class_partition(subball(ball_, n_max), depth, radius, **kwargs).rows()

@@ -131,8 +131,12 @@ class GroupPreset:
             if not isinstance(spec, dict):
                 raise PresetError(f"generator entry {spec!r} is not an object")
             label = spec.get("label")
-            if not isinstance(label, str) or not label or label == IDENTITY_LABEL:
-                raise PresetError(f"bad generator label {label!r}")
+            # words are strings of labels, and "'" marks an inverse atom
+            if not isinstance(label, str) or len(label) != 1 or label in (IDENTITY_LABEL, "'"):
+                raise PresetError(
+                    f"bad generator label {label!r}: labels are single characters"
+                    f" other than {IDENTITY_LABEL!r} and \"'\""
+                )
             if label in labels:
                 raise PresetError(f"generator {label!r}: duplicate label")
             labels.add(label)
@@ -206,8 +210,6 @@ class GroupPreset:
                 self._inverse_atom[declared] = atom
                 continue
             label = spec["label"] + "'"
-            if label in self.atoms:
-                raise PresetError(f"label {label!r} collides with an inverse atom")
             inv_labels[spec["label"]] = label
             inv = Element(pinv, None, label, self)
             self.atoms[label] = inv

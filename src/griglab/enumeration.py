@@ -75,9 +75,7 @@ def ball(preset, n, threads=1):
     entries = {preset.identity: (0, "")}
     frontier = [(preset.identity, "")]
     gens = [(label, preset.atoms[label]) for label in preset.gen_labels]
-    # the rules name single-character labels, so the last character of a
-    # word is its last letter only when every label is one character long
-    rules = preset.pair_rules if all(len(label) == 1 for label, _ in gens) else {}
+    rules = preset.pair_rules
     for level in range(1, n + 1):
         candidates = {}
         for elem, word in frontier:

@@ -2,13 +2,19 @@
 
 All width properties are universally quantified, so a search can only ever
 confirm a decomposition or come back inconclusive; the result type has no
-"refuted" state.  Every decomposition is re-evaluated through the element
-arithmetic before it is returned, and witness selection follows sorted ball
-order so results are deterministic and never degrade when budgets grow.
+"refuted" state.  Every mode runs the same meet-in-the-middle driver over
+its deduplicated factor set: it tries 0, 1, 2, ... factors up to the cap
+(more than two only for conjugates, the one mode with a pair set),
+scanning one set in value order and looking up the rest of the target in
+another, so results are deterministic and never degrade when budgets grow.
+Every decomposition is re-evaluated through the element arithmetic before
+it is returned.  An optional time limit bounds the element search of every
+mode; palindromes then fall back to a syntactic split of their word.
 """
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
 
@@ -17,20 +23,18 @@ from . import core, enumeration, expressions, words
 DECOMPOSED = "decomposed"
 INCONCLUSIVE = "inconclusive"
 
+MAX_SET = 2_000_000  # cap on the materialized pair and commutator sets
+
 
 @dataclass
 class SearchBudget:
     radius: int = 6  # conjugator / entry radius
     factor_cap: int = 4
     time_limit: float | None = None  # seconds, soft
-    max_set: int = 2_000_000  # cap on materialized product sets
 
     def __post_init__(self):
         if self.radius < 0 or self.factor_cap < 0:
             raise ValueError("budget fields must be nonnegative")
-
-    def deadline(self):
-        return None if self.time_limit is None else time.monotonic() + self.time_limit
 
 
 @dataclass
@@ -45,19 +49,11 @@ class WidthResult:
         return None if self.expression is None else len(self.expression.factors)
 
 
-class _Deadline:
-    def __init__(self, deadline):
-        self.deadline = deadline
-
-    def expired(self):
-        return self.deadline is not None and time.monotonic() > self.deadline
-
-
 # ----------------------------------------------------------------------
 # deduplicated factor sets
 
 
-def conjugate_set(preset, radius, bases=None, ball_=None):
+def conjugate_set(preset, radius, bases=None):
     """Deduplicated conjugates of the chosen generators by B(radius).
 
     Maps each element x^t to its first (base, conjugator) pair in sorted
@@ -68,12 +64,8 @@ def conjugate_set(preset, radius, bases=None, ball_=None):
     key = (radius, tuple(bases))
     if key in cache:
         return cache[key]
-    if ball_ is None or ball_.radius < radius:
-        ball_ = enumeration.ball(preset, radius)
     out = {}
-    for t, (ln, tw) in ball_.sorted_items():
-        if ln > radius:
-            break
+    for t, (_, tw) in enumeration.ball(preset, radius).sorted_items():
         for base in bases:
             e = core.conjugate(preset.atoms[base], t)
             out.setdefault(e, (base, tw))
@@ -81,7 +73,7 @@ def conjugate_set(preset, radius, bases=None, ball_=None):
     return out
 
 
-def conjugate_pair_set(preset, radius, bases=None, max_set=2_000_000):
+def conjugate_pair_set(preset, radius, bases=None):
     """Deduplicated products of two conjugates, keyed by element."""
     cache = preset.cache("conjugate_pair_set")
     key = (radius, None if bases is None else tuple(bases))
@@ -94,27 +86,25 @@ def conjugate_pair_set(preset, radius, bases=None, max_set=2_000_000):
         for e2, f2 in items:
             e = core.multiply(e1, e2)
             out.setdefault(e, (f1, f2))
-        if len(out) > max_set:
+        if len(out) > MAX_SET:
             raise MemoryError("conjugate pair set exceeded budget")
     cache[key] = out
     return out
 
 
-def commutator_set(preset, radius, ball_=None, max_set=2_000_000):
+def commutator_set(preset, radius):
     """Deduplicated commutators with both entries in B(radius)."""
     cache = preset.cache("commutator_set")
     if radius in cache:
         return cache[radius]
-    if ball_ is None or ball_.radius < radius:
-        ball_ = enumeration.ball(preset, radius)
-    items = ball_.sorted_items()
+    items = enumeration.ball(preset, radius).sorted_items()
     out = {}
     for x, (_, xw) in items:
         xi = core.invert(x)
         for y, (_, yw) in items:
             e = core.multiply(core.multiply(xi, core.invert(y)), core.multiply(x, y))
             out.setdefault(e, (xw, yw))
-        if len(out) > max_set:
+        if len(out) > MAX_SET:
             raise MemoryError("commutator set exceeded budget")
     cache[radius] = out
     return out
@@ -134,59 +124,80 @@ def palindrome_set(preset, radius):
 
 
 # ----------------------------------------------------------------------
+# the meet-in-the-middle driver
+
+
+def _search(g, budget, product, factor, singles, pairs=None):
+    """Express g as a product of at most factor_cap factors from a set.
+
+    `singles()` returns the deduplicated factor set (element -> factor) and
+    `pairs()` the set of its pairwise products (element -> two factors);
+    `product(preset, factors)` builds the Expression of factor(f) over the
+    factors found.  The time limit is checked after every scanned candidate;
+    when it passes, the result is inconclusive with the note "time budget".
+    """
+    deadline = None if budget.time_limit is None else time.monotonic() + budget.time_limit
+    if core.is_identity(g):
+        return _decomposed(g, product, factor, ())
+    one = singles()
+    if budget.factor_cap >= 1 and g in one:
+        return _decomposed(g, product, factor, (one[g],))
+    for scan, table, join in _splits(one, pairs, budget.factor_cap):
+        for c, left in scan:
+            right = table.get(core.multiply(core.invert(c), g))
+            if right is not None:
+                return _decomposed(g, product, factor, join(left, right))
+            if deadline is not None and time.monotonic() > deadline:
+                return WidthResult(INCONCLUSIVE, None, g, "time budget")
+    return WidthResult(INCONCLUSIVE, None, g, f"no decomposition within budget {budget}")
+
+
+def _splits(one, pairs, factor_cap):
+    """(scan, lookup table, join) for 2, 3 and 4 factors, up to factor_cap.
+
+    Singles are scanned in value order (their insertion order is not); the
+    pair set is built only on reaching three factors and is scanned in its
+    insertion order, which already is value order.  Without `pairs` the
+    search stops at two factors.
+    """
+    if factor_cap < 2:
+        return
+    by_value = sorted(one.items(), key=lambda kv: kv[1])
+    yield by_value, one, lambda f, h: (f, h)
+    if factor_cap < 3 or pairs is None:
+        return
+    two = pairs()
+    yield by_value, two, lambda f, hs: (f, *hs)
+    if factor_cap >= 4:
+        yield two.items(), two, operator.add
+
+
+def _decomposed(target, product, factor, parts):
+    expr = product(target.preset, [factor(f) for f in parts])
+    if not expr.verify(target):
+        raise AssertionError(f"{expr.kind} decomposition failed verification")
+    return WidthResult(DECOMPOSED, expr, target)
+
+
+# ----------------------------------------------------------------------
 # conjugate width
 
 
 def conjugate_width(g, budget=None, preset=None, bases=None):
     """Express g as at most factor_cap conjugates of generators.
 
-    Meet in the middle over the deduplicated conjugate set: direct lookups
-    handle one or two factors, a loop over singles against the pair set
-    handles three, and a loop over the pair set against itself handles four.
+    Lookups in the conjugate set handle one and two factors, singles
+    against the pair set three, and the pair set against itself four.
     """
     preset = preset or g.preset
     budget = budget or SearchBudget()
-    deadline = _Deadline(budget.deadline())
-    target = g
-    if core.is_identity(g):
-        expr = expressions.conjugate_product(preset, ())
-        return WidthResult(DECOMPOSED, expr, target)
-
-    p1 = conjugate_set(preset, budget.radius, bases)
-
-    def build(pairs):
-        factors = tuple(expressions.ConjugateFactor(b, t) for b, t in pairs)
-        expr = expressions.conjugate_product(preset, factors)
-        if not expr.verify(target):
-            raise AssertionError("conjugate decomposition failed verification")
-        return WidthResult(DECOMPOSED, expr, target)
-
-    if budget.factor_cap >= 1 and g in p1:
-        return build([p1[g]])
-    if budget.factor_cap >= 2:
-        for c, f in sorted(p1.items(), key=lambda kv: kv[1]):
-            rest = core.multiply(core.invert(c), g)
-            if rest in p1:
-                return build([f, p1[rest]])
-            if deadline.expired():
-                return WidthResult(INCONCLUSIVE, None, target, "time budget")
-    if budget.factor_cap >= 3:
-        p2 = conjugate_pair_set(preset, budget.radius, bases, budget.max_set)
-        for c, f in sorted(p1.items(), key=lambda kv: kv[1]):
-            rest = core.multiply(core.invert(c), g)
-            if rest in p2:
-                return build([f, *p2[rest]])
-            if deadline.expired():
-                return WidthResult(INCONCLUSIVE, None, target, "time budget")
-        if budget.factor_cap >= 4:
-            for s, fs in p2.items():
-                rest = core.multiply(core.invert(s), g)
-                if rest in p2:
-                    return build([*fs, *p2[rest]])
-                if deadline.expired():
-                    return WidthResult(INCONCLUSIVE, None, target, "time budget")
-    return WidthResult(
-        INCONCLUSIVE, None, target, f"no decomposition within budget {budget}"
+    return _search(
+        g,
+        budget,
+        expressions.conjugate_product,
+        lambda f: expressions.ConjugateFactor(*f),
+        lambda: conjugate_set(preset, budget.radius, bases),
+        lambda: conjugate_pair_set(preset, budget.radius, bases),
     )
 
 
@@ -195,37 +206,19 @@ def conjugate_width(g, budget=None, preset=None, bases=None):
 
 
 def commutator_width(g, budget=None, preset=None):
-    """Express g as at most factor_cap commutators with entries in B(radius)."""
+    """Express g as at most factor_cap (two at most) commutators of B(radius) entries."""
     preset = preset or g.preset
     budget = budget or SearchBudget(radius=6, factor_cap=2)
-    deadline = _Deadline(budget.deadline())
-    target = g
     if words.parity_vector(_word_of(g, preset)) != (0, 0, 0):
         return WidthResult(
-            INCONCLUSIVE, None, target, "nonzero parity vector rules out membership"
+            INCONCLUSIVE, None, g, "nonzero parity vector rules out membership"
         )
-    if core.is_identity(g):
-        return WidthResult(DECOMPOSED, expressions.commutator_product(preset, ()), target)
-    comm = commutator_set(preset, budget.radius, max_set=budget.max_set)
-
-    def build(pairs):
-        factors = tuple(expressions.CommutatorFactor(x, y) for x, y in pairs)
-        expr = expressions.commutator_product(preset, factors)
-        if not expr.verify(target):
-            raise AssertionError("commutator decomposition failed verification")
-        return WidthResult(DECOMPOSED, expr, target)
-
-    if budget.factor_cap >= 1 and g in comm:
-        return build([comm[g]])
-    if budget.factor_cap >= 2:
-        for c, f in sorted(comm.items(), key=lambda kv: kv[1]):
-            rest = core.multiply(core.invert(c), g)
-            if rest in comm:
-                return build([f, comm[rest]])
-            if deadline.expired():
-                return WidthResult(INCONCLUSIVE, None, target, "time budget")
-    return WidthResult(
-        INCONCLUSIVE, None, target, f"no decomposition within budget {budget}"
+    return _search(
+        g,
+        budget,
+        expressions.commutator_product,
+        lambda f: expressions.CommutatorFactor(*f),
+        lambda: commutator_set(preset, budget.radius),
     )
 
 
@@ -269,41 +262,24 @@ def _palindromic_splits(word):
 def palindromic_width(g, budget=None, preset=None, word=None):
     """Express g as at most factor_cap palindromic words.
 
-    Element-level search handles up to three factors; the syntactic
-    fallback splits a geodesic word into palindromic blocks, which always
-    succeeds and rarely needs more than four blocks at desk scale.
+    The element search handles up to two factors; when it finds none or
+    runs out of time, a syntactic split of a geodesic word into palindromic
+    blocks takes over, which always succeeds and rarely needs more than
+    four blocks at desk scale.
     """
     preset = preset or g.preset
     for spec in preset.generator_specs:
         if not spec["involution"]:
             raise ValueError("palindromic width needs an all-involution generating set")
     budget = budget or SearchBudget(radius=4, factor_cap=5)
-    target = g
-    if core.is_identity(g):
-        return WidthResult(DECOMPOSED, expressions.palindrome_product(preset, ()), target)
-
-    def build(pal_words):
-        factors = tuple(expressions.PalindromeFactor(w) for w in pal_words)
-        expr = expressions.palindrome_product(preset, factors)
-        if not expr.verify(target):
-            raise AssertionError("palindrome decomposition failed verification")
-        return WidthResult(DECOMPOSED, expr, target)
-
-    pal = palindrome_set(preset, budget.radius)
-    if budget.factor_cap >= 1 and g in pal:
-        return build([pal[g]])
-    if budget.factor_cap >= 2:
-        for c, w in sorted(pal.items(), key=lambda kv: kv[1]):
-            rest = core.multiply(core.invert(c), g)
-            if rest in pal:
-                return build([w, pal[rest]])
-    word = word or _word_of(g, preset)
-    blocks = _palindromic_splits(word)
-    if blocks is not None and len(blocks) <= budget.factor_cap:
-        return build(blocks)
-    return WidthResult(
-        INCONCLUSIVE, None, target, f"no decomposition within budget {budget}"
-    )
+    product, factor = expressions.palindrome_product, expressions.PalindromeFactor
+    found = _search(g, budget, product, factor, lambda: palindrome_set(preset, budget.radius))
+    if found.status == DECOMPOSED:
+        return found
+    blocks = _palindromic_splits(word or _word_of(g, preset))
+    if len(blocks) <= budget.factor_cap:
+        return _decomposed(g, product, factor, blocks)
+    return found
 
 
 def palindrome_conjugate_check(max_length, preset=None):

