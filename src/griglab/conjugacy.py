@@ -362,11 +362,14 @@ def class_partition(
         for e in group:
             shortest.setdefault(uf.find(e), e)
         counted, open_pairs = [], []
+        # the lift decides conjugacy in G_m and counted classes are pairwise
+        # separated, so a failing class is unseparated from exactly one
         for r in shortest.values():
-            if all(quotient_separated(r, c, separation_level) for c in counted):
+            c = next((c for c in counted if not quotient_separated(r, c, separation_level)), None)
+            if c is None:
                 counted.append(r)
             else:
-                open_pairs.extend((word_of[r], word_of[c]) for c in counted)
+                open_pairs.append((word_of[r], word_of[c]))
         return list(shortest.values()), counted, open_pairs
 
     classes, separated, unresolved = [], [], []

@@ -15,11 +15,13 @@ from . import core, enumeration, expressions, words
 
 # highest level searched for a stable normal-closure index
 MAX_LEVEL = 5
-# ball radii of the K-coset transversal, the lift table and the K x K
-# coset representatives
-TRANSVERSAL_RADIUS = 12
+# the branching subgroup K is the normal closure of this word
+K_WORD = "abab"
+# ball radii of the lift table and the K x K coset representatives
 LIFT_RADIUS = 16
 H1_RADIUS = 12
+# largest radius over which section pairs are searched
+MAX_SCAN_RADIUS = 20
 
 
 class UnstabilizedError(RuntimeError):
@@ -73,26 +75,22 @@ def normal_closure_index(preset, word, m):
 class BranchingData:
     """Stabilized quotient model of a branching subgroup plus lift tables.
 
-    The subgroup K is the normal closure of `k_word`.  `level` is the first
+    The subgroup K is the normal closure of K_WORD.  `level` is the first
     level whose normal-closure index agrees with the next one; membership
     sifts against K's layered basis at that level, and coset identity is
-    read off the level-`level` quotient.  The transversal stores one
-    shortest representative per realized coset, and the lift map sends u to
-    a verified element with sections (u, identity).
+    read off the level-`level` quotient.  The lift map sends u to a verified
+    element with sections (u, identity), and `h1_reps` keeps the first
+    element of B(H1_RADIUS) in each K x K coset.
     """
 
     preset: object
-    k_word: str
     level: int
     index: int
     k_basis: core.LayeredBasis = field(repr=False)
     coset_table: dict = field(repr=False)  # closure state -> coset id
-    transversal: dict = field(repr=False)  # coset id -> (element, word)
-    coset_rep_max: int = 0
     lift_map: dict = field(repr=False, default_factory=dict)  # u -> (elem, word)
     h1_reps: dict = field(repr=False, default_factory=dict)  # h1 key -> (elem, word)
     h1_rep_max: int = 0
-    h1_key_count: int = 0
 
     def k_membership(self, x):
         """Membership of x's level-`level` image in K's basis."""
@@ -110,40 +108,17 @@ class BranchingData:
         return (x.perm, self.coset_id(x.sections[0]), self.coset_id(x.sections[1]))
 
     def h1_rep(self, x):
-        """Shortest known element in the same K x K coset; x itself if new."""
+        """Shortest known (element, word) in the same K x K coset, or None."""
         return self.h1_reps.get(self.h1_key(x))
 
-    def lift_for(self, u, compose_budget=20_000):
-        """Verified (element, word) with sections (u, identity).
-
-        Falls back to composing already-verified lifts, which is sound
-        because lifts multiply: sections multiply coordinatewise inside the
-        level-1 stabilizer.
-        """
+    def lift_for(self, u):
+        """Verified (element, word) with sections (u, identity)."""
         got = self.lift_map.get(u)
-        if got is not None:
-            return got
-        base = sorted(self.lift_map.items(), key=lambda kv: kv[1][1])
-        frontier = dict(self.lift_map)
-        seen = set(self.lift_map)
-        while frontier and len(seen) < compose_budget:
-            new = {}
-            for tu, (te, tw) in sorted(frontier.items(), key=lambda kv: kv[1][1]):
-                for bu, (be, bw) in base:
-                    nu = core.multiply(tu, bu)
-                    if nu in seen:
-                        continue
-                    ne = core.multiply(te, be)
-                    nw = words.reduce(tw + bw, self.preset)
-                    seen.add(nu)
-                    new[nu] = (ne, nw)
-                    if nu is u:
-                        return ne, nw
-            frontier = new
-        raise LiftUnavailableError(
-            f"no lift with sections ({u!r}, 1) within radius {LIFT_RADIUS} "
-            "or its composition closure"
-        )
+        if got is None:
+            raise LiftUnavailableError(
+                f"no lift with sections ({u!r}, 1) within radius {LIFT_RADIUS}"
+            )
+        return got
 
 
 def _stabilized_level(preset, k_word, max_level=MAX_LEVEL):
@@ -160,14 +135,14 @@ def _stabilized_level(preset, k_word, max_level=MAX_LEVEL):
     )
 
 
-def branching_data(preset, k_word="abab"):
-    """Build (and cache) the branching model for the given subgroup word."""
+def branching_data(preset):
+    """Build (and cache) the branching model of the normal closure of K_WORD."""
     cache = preset.cache("branching_data")
-    if k_word in cache:
-        return cache[k_word]
+    if K_WORD in cache:
+        return cache[K_WORD]
 
-    level, indices = _stabilized_level(preset, k_word)
-    k_basis = normal_closure_basis(preset, k_word, level)
+    level, indices = _stabilized_level(preset, K_WORD)
+    k_basis = normal_closure_basis(preset, K_WORD, level)
     quotient = level_quotient(preset, level)
     image = [s for s in quotient if s in k_basis]
 
@@ -183,31 +158,15 @@ def branching_data(preset, k_word="abab"):
 
     data = BranchingData(
         preset=preset,
-        k_word=k_word,
         level=level,
         index=indices[level],
         k_basis=k_basis,
         coset_table=coset_table,
-        transversal={},
-    )
-
-    items = enumeration.ball(preset, max(TRANSVERSAL_RADIUS, H1_RADIUS)).sorted_items()
-
-    for e, (ln, word) in items:
-        if ln > TRANSVERSAL_RADIUS:
-            break
-        cid = data.coset_id(e)
-        if cid not in data.transversal:
-            data.transversal[cid] = (e, word)
-            if len(data.transversal) == data.index:
-                break
-    data.coset_rep_max = max(
-        (len(w) for _, w in data.transversal.values()), default=0
     )
 
     # the shortest word of each section pair (u, 1), re-evaluated
     identity = preset.identity
-    pair_map, _ = _section_pair_map(preset, LIFT_RADIUS)
+    pair_map = _section_pair_map(preset, LIFT_RADIUS)
     for (u, v), (ln, word) in pair_map.items():
         if v is not identity or ln > LIFT_RADIUS:
             continue
@@ -216,16 +175,11 @@ def branching_data(preset, k_word="abab"):
             raise AssertionError(f"lift table entry for {u!r} failed verification")
         data.lift_map[u] = (e, word)
 
-    for e, (ln, word) in items:
-        if ln > H1_RADIUS:
-            break
-        key = data.h1_key(e)
-        if key not in data.h1_reps:
-            data.h1_reps[key] = (e, word)
-    data.h1_key_count = len(data.h1_reps)
+    for e, (_, word) in enumeration.ball(preset, H1_RADIUS).sorted_items():
+        data.h1_reps.setdefault(data.h1_key(e), (e, word))
     data.h1_rep_max = max((len(w) for _, w in data.h1_reps.values()), default=0)
 
-    cache[k_word] = data
+    cache[K_WORD] = data
     return data
 
 
@@ -311,33 +265,30 @@ def _section_pair_map(preset, radius):
     map is cached at the largest radius scanned so far.
     """
     cache = preset.cache("section_pair_map")
-    if cache.get("radius", -1) >= radius:
-        return cache["map"], cache["radius"]
-    big = enumeration.ball(preset, radius)
-    pair_map = {}
-    for e, (ln, word) in big.sorted_items():
-        if e.perm == (0, 1):
-            pair_map.setdefault((e.sections[0], e.sections[1]), (ln, word))
-    cache["radius"] = radius
-    cache["map"] = pair_map
-    return pair_map, radius
+    if cache.get("radius", -1) < radius:
+        pair_map = {}
+        for e, (ln, word) in enumeration.ball(preset, radius).sorted_items():
+            if e.perm == (0, 1):
+                pair_map.setdefault((e.sections[0], e.sections[1]), (ln, word))
+        cache["map"], cache["radius"] = pair_map, radius
+    return cache["map"]
 
 
-def encode_pair(w0, w1, preset=None, max_scan_radius=20):
+def encode_pair(w0, w1, preset=None):
     """Word with section pair exactly (w0, w1), or a certificate about the bound.
 
     The search is exhaustive over the level-1 stabilizer part of the ball of
     radius 2*(len(w0)+len(w1)); achieving words longer than that bound do not
     count, and a miss from a complete scan certifies unreachability within
-    the bound.  Scans beyond max_scan_radius come back inconclusive.
+    the bound.  Scans beyond MAX_SCAN_RADIUS come back inconclusive.
     """
     preset = preset or core.load_preset("grigorchuk")
     t0 = core.evaluate(preset, w0)
     t1 = core.evaluate(preset, w1)
     bound = 2 * (len(words.reduce(w0, preset)) + len(words.reduce(w1, preset)))
-    if bound > max_scan_radius:
+    if bound > MAX_SCAN_RADIUS:
         return PairEncodeResult(INCONCLUSIVE, None, None, bound)
-    pair_map, _ = _section_pair_map(preset, max(bound, 1))
+    pair_map = _section_pair_map(preset, max(bound, 1))
     got = pair_map.get((t0, t1))
     if got is not None and got[0] <= bound:
         ln, word = got
@@ -350,20 +301,17 @@ def encode_pair(w0, w1, preset=None, max_scan_radius=20):
 
 @dataclass
 class CoverageReport:
-    budget: int
-    scan_radius: int
     reachable: int
     unreachable: int
     unknown: int
     total: int
-    rows: list = field(repr=False)  # (w0, w1, status, cost, witness)
     beyond_bound: list = field(repr=False)  # reachable only above the pair bound
 
     def consistent(self):
         return self.reachable + self.unreachable + self.unknown == self.total
 
 
-def image_coverage_report(n, preset=None, max_scan_radius=20):
+def image_coverage_report(n, preset=None):
     """Reachability of every section pair with targets in B(n // 2).
 
     Scans the level-1 stabilizer inside B(2n) once and classifies each
@@ -373,11 +321,10 @@ def image_coverage_report(n, preset=None, max_scan_radius=20):
     preset = preset or core.load_preset("grigorchuk")
     if n < 0:
         raise ValueError("budget must be >= 0")
-    scan = min(2 * n, max_scan_radius)
-    pair_map, _ = _section_pair_map(preset, max(scan, 1))
+    scan = min(2 * n, MAX_SCAN_RADIUS)
+    pair_map = _section_pair_map(preset, max(scan, 1))
     half = enumeration.ball(preset, n // 2)
     targets = half.sorted_items()
-    rows = []
     beyond = []
     reachable = unreachable = unknown = 0
     for u, (lu, wu) in targets:
@@ -386,23 +333,17 @@ def image_coverage_report(n, preset=None, max_scan_radius=20):
             got = pair_map.get((u, v))
             if got is not None and got[0] <= bound:
                 reachable += 1
-                rows.append((wu, wv, ACHIEVED, got[0], got[1]))
             elif bound <= scan:
                 unreachable += 1
-                rows.append((wu, wv, UNREACHABLE, None, None))
                 if got is not None:
                     beyond.append((wu, wv, got[0], got[1]))
             else:
                 unknown += 1
-                rows.append((wu, wv, INCONCLUSIVE, None, None))
     return CoverageReport(
-        budget=n,
-        scan_radius=scan,
         reachable=reachable,
         unreachable=unreachable,
         unknown=unknown,
         total=len(targets) ** 2,
-        rows=rows,
         beyond_bound=beyond,
     )
 

@@ -23,6 +23,13 @@ class FilterUnavailableError(RuntimeError):
 
 
 class Ball:
+    """Elements of B(radius), each with its geodesic length and word.
+
+    `entries` is kept in (length, word) order: `ball` inserts each sphere
+    sorted by word after the shorter ones, and a sub-ball filters that
+    order, so no caller needs to sort it again.
+    """
+
     def __init__(self, preset, radius, entries):
         self.preset = preset
         self.radius = radius
@@ -36,7 +43,7 @@ class Ball:
 
     def sorted_items(self):
         """Entries ordered by (length, word); the canonical iteration order."""
-        return sorted(self.entries.items(), key=lambda kv: kv[1])
+        return list(self.entries.items())
 
     def count_within(self, n):
         return sum(1 for ln, _ in self.entries.values() if ln <= n)

@@ -116,11 +116,13 @@ def palindrome_set(preset, radius):
     Over involutive generators those are exactly the conjugates of the
     generators; each element keeps its shortest palindrome realization.
     """
-    p1 = conjugate_set(preset, radius)
-    out = {}
-    for e, (base, tw) in p1.items():
-        out[e] = words.invert_word(tw) + base + tw
-    return out
+    cache = preset.cache("palindrome_set")
+    if radius not in cache:
+        cache[radius] = {
+            e: words.invert_word(tw) + base + tw
+            for e, (base, tw) in conjugate_set(preset, radius).items()
+        }
+    return cache[radius]
 
 
 # ----------------------------------------------------------------------

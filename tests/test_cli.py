@@ -227,6 +227,28 @@ def test_internal_error_exits_4(monkeypatch, capsys):
     assert err.startswith("Traceback") and "RuntimeError: boom" in err
 
 
+@pytest.mark.parametrize(
+    "lemma, builder", [("comm-k", "comm_k_product"), ("comm-g", "comm_g_decompose")]
+)
+def test_audit_crash_exits_4_and_failed_verification_exits_1(
+    monkeypatch, capsys, lemma, builder
+):
+    from griglab import constructions
+
+    def raising(exc):
+        def builder_(*args):
+            raise exc("boom")
+
+        return builder_
+
+    monkeypatch.setattr(constructions, builder, raising(TypeError))
+    assert run(["audit", "--lemma", lemma]) == cli.EXIT_INTERNAL
+    assert "TypeError: boom" in capsys.readouterr().err
+    monkeypatch.setattr(constructions, builder, raising(AssertionError))
+    assert run(["audit", "--lemma", lemma]) == cli.EXIT_FAILED
+    assert json.loads(capsys.readouterr().out)["status"] == "failed"
+
+
 @pytest.mark.parametrize("flag", ["--out", "--witness-out"])
 def test_unwritable_output_exits_3(tmp_path, flag, capsys):
     missing = tmp_path / "no" / "such" / "file"

@@ -144,6 +144,16 @@ def test_conj_growth_table_reads_every_row_off_one_partition(grig, monkeypatch):
     assert rows[10].lower == 38 and rows[10].upper <= 43
 
 
+def test_unresolved_lists_only_unseparated_pairs(grig):
+    # the conjgrowth --max-length 10 --depth 8 --radius 6 partition
+    part = class_partition(enumeration.ball(grig, 10), 8, 6, escalate_to=8)
+    assert part.upper > part.lower
+    assert len(part.unresolved) == part.upper - part.lower
+    for wx, wy in part.unresolved:
+        x, y = core.evaluate(grig, wx), core.evaluate(grig, wy)
+        assert not quotient_separated(x, y, conjugacy.DEFAULT_SEPARATION_LEVEL)
+
+
 def test_conj_rows_csv(grig, ball8):
     rows = conj_growth_table(grig, 2, depth=6, radius=6, ball_=ball8)
     csv = conjugacy.conj_rows_to_csv(rows)

@@ -326,6 +326,7 @@ def test_derived_data_is_cached_only_in_the_registry():
         "quotient_class_table",
         "layered_basis",
         "conjugate_set",
+        "palindrome_set",
         "conjugate_pair_set",
         "commutator_set",
         "conjugator_tables",

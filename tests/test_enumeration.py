@@ -1,6 +1,7 @@
 import pytest
 
 from griglab import core, enumeration, words
+from griglab.conjugacy import subball
 from griglab.enumeration import (
     Ball,
     DedupMismatchError,
@@ -45,6 +46,12 @@ def test_ball_skipping_pair_rules_matches_plain_bfs(name, n):
     preset = core.load_preset(name)
     assert preset.pair_rules  # so ball could skip products
     assert ball(preset, n).entries == _reference_ball(preset, n)
+
+
+def test_ball_entries_are_already_in_length_word_order(grig):
+    ball10 = enumeration.ball(grig, 10)
+    for b in (ball10, subball(ball10, 7)):
+        assert b.sorted_items() == sorted(b.entries.items(), key=lambda kv: kv[1])
 
 
 def test_geodesic_words_are_geodesic(grig, ball6):
