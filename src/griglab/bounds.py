@@ -9,7 +9,6 @@ inequalities with constants measured on the data actually computed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import conjugacy, constructions, core, enumeration
 
@@ -40,20 +39,20 @@ def estimate_T(gamma_rows, st1_counts):
     return worst
 
 
-@dataclass
 class RecursionAuditRow:
-    n: int
-    f_n: int
-    f_4n: int
-    rhs: float
-    holds: bool
+    def __init__(self, n, f_n, f_4n, rhs, holds):
+        self.n = n
+        self.f_n = f_n
+        self.f_4n = f_4n
+        self.rhs = rhs
+        self.holds = holds
 
 
-@dataclass
 class RecursionAuditReport:
-    T: float
-    rows: list
-    skipped: list  # n values without exact data
+    def __init__(self, T, rows, skipped):
+        self.T = T
+        self.rows = rows
+        self.skipped = skipped  # n values without exact data
 
     @property
     def all_hold(self):
@@ -89,14 +88,14 @@ def grig_recursion_audit(f_rows, T):
 # assembly audit
 
 
-@dataclass
 class AssemblyAuditReport:
-    n: int
-    pairs_total: int
-    assembled: int
-    skipped_unreachable: list
-    separated: bool
-    swap_merged: bool
+    def __init__(self, n, pairs_total, assembled, skipped_unreachable, separated, swap_merged):
+        self.n = n
+        self.pairs_total = pairs_total
+        self.assembled = assembled
+        self.skipped_unreachable = skipped_unreachable
+        self.separated = separated
+        self.swap_merged = swap_merged
 
 
 def assembly_audit(n, preset=None, invariant_depth=8):

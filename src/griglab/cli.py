@@ -13,6 +13,8 @@ stderr).
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import os
 import random
@@ -21,6 +23,13 @@ import sys
 # A growth run needs only these; every other layer is imported by the
 # subcommand or audit that uses it, so start-up pays for nothing unused.
 from . import core, enumeration, words
+
+# Every element points to its preset, whose intern and product tables point
+# back, so the interned heap is one reference cycle that lives until exit
+# and a cyclic collection finds almost nothing to free in it.  main runs
+# with the collector off, and exit freezes the heap instead of collecting
+# it once more.
+atexit.register(gc.freeze)
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -255,6 +264,8 @@ def _audit_comm_g(config, preset, rng):
             "sampled": 50,
             "max_factors": worst,
             "bound": bound,
+            # the longest K x K coset representative in B(H1_RADIUS), not a
+            # K-coset one; the key keeps its old name so stdout stays the same
             "coset_rep_max": data.h1_rep_max,
         },
         "witnesses": {},
@@ -461,9 +472,10 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         minima = {"max_length": 0, "depth": 0, "radius": 0, "threads": 1, "budget_seconds": 0}
         for name, least in minima.items():
             value = getattr(args, name)
@@ -490,6 +502,14 @@ def main(argv=None):
 
         traceback.print_exc()
         return EXIT_INTERNAL
+    finally:
+        if collecting:  # give in-process callers their collector back
+            # freeze and unfreeze move what the run built to the oldest
+            # generation (objects a caller froze are unfrozen too), so the
+            # first collection after main does not traverse all of it
+            gc.freeze()
+            gc.unfreeze()
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -18,7 +18,6 @@ refinements.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from . import constructions, core, enumeration
 
@@ -273,22 +272,24 @@ def conjugator_search(x, y, radius):
 # partitions and growth rows
 
 
-@dataclass
 class ConjGrowthRow:
-    n: int
-    lower: int
-    upper: int
-    exact: bool
+    """One bracket row; `vars(row)` is its JSON object."""
+
+    def __init__(self, n, lower, upper, exact):
+        self.n = n
+        self.lower = lower
+        self.upper = upper
+        self.exact = exact
 
 
-@dataclass
 class ClassPartition:
-    ball: object
-    uf: UnionFind = field(repr=False)
-    witnesses: dict = field(repr=False)  # (word_x, word_y) -> conjugator word
-    classes: tuple = ()  # shortest member of every class
-    separated: tuple = ()  # shortest members of the pairwise-separated classes
-    unresolved: tuple = ()  # pairs of words neither merged nor separated
+    def __init__(self, ball, uf, witnesses, classes, separated, unresolved):
+        self.ball = ball
+        self.uf = uf
+        self.witnesses = witnesses  # (word_x, word_y) -> conjugator word
+        self.classes = classes  # shortest member of every class
+        self.separated = separated  # shortest members of the pairwise-separated classes
+        self.unresolved = unresolved  # pairs of words neither merged nor separated
 
     @property
     def lower(self):

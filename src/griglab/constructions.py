@@ -9,8 +9,6 @@ output against the exact element arithmetic before returning it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import core, enumeration, expressions, words
 
 # highest level searched for a stable normal-closure index
@@ -71,7 +69,6 @@ def normal_closure_index(preset, word, m):
 # branching data
 
 
-@dataclass
 class BranchingData:
     """Stabilized quotient model of a branching subgroup plus lift tables.
 
@@ -83,14 +80,15 @@ class BranchingData:
     element of B(H1_RADIUS) in each K x K coset.
     """
 
-    preset: object
-    level: int
-    index: int
-    k_basis: core.LayeredBasis = field(repr=False)
-    coset_table: dict = field(repr=False)  # closure state -> coset id
-    lift_map: dict = field(repr=False, default_factory=dict)  # u -> (elem, word)
-    h1_reps: dict = field(repr=False, default_factory=dict)  # h1 key -> (elem, word)
-    h1_rep_max: int = 0
+    def __init__(self, preset, level, index, k_basis, coset_table):
+        self.preset = preset
+        self.level = level
+        self.index = index
+        self.k_basis = k_basis
+        self.coset_table = coset_table  # closure state -> coset id
+        self.lift_map = {}  # u -> (elem, word)
+        self.h1_reps = {}  # h1 key -> (elem, word)
+        self.h1_rep_max = 0
 
     def k_membership(self, x):
         """Membership of x's level-`level` image in K's basis."""
@@ -198,10 +196,10 @@ _EMIT_AT_EVEN = {"c": "b", "d": "c", "b": "d"}  # target -> letter placed
 _EMIT_AT_ODD = "c"  # contributes 'a' rightward, leftover 'd' leftward
 
 
-@dataclass
 class EncodeResult:
-    word: str
-    sections: tuple  # reduced section words (left, right)
+    def __init__(self, word, sections):
+        self.word = word
+        self.sections = sections  # reduced section words (left, right)
 
 
 def encode_right(w1, preset=None):
@@ -250,12 +248,12 @@ UNREACHABLE = "unreachable-within-bound"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass
 class PairEncodeResult:
-    status: str
-    word: str | None
-    sections: tuple | None
-    bound: int
+    def __init__(self, status, word, sections, bound):
+        self.status = status
+        self.word = word  # None unless achieved
+        self.sections = sections  # None unless achieved
+        self.bound = bound
 
 
 def _section_pair_map(preset, radius):
@@ -299,13 +297,13 @@ def encode_pair(w0, w1, preset=None):
     return PairEncodeResult(UNREACHABLE, None, None, bound)
 
 
-@dataclass
 class CoverageReport:
-    reachable: int
-    unreachable: int
-    unknown: int
-    total: int
-    beyond_bound: list = field(repr=False)  # reachable only above the pair bound
+    def __init__(self, reachable, unreachable, unknown, total, beyond_bound):
+        self.reachable = reachable
+        self.unreachable = unreachable
+        self.unknown = unknown
+        self.total = total
+        self.beyond_bound = beyond_bound  # reachable only above the pair bound
 
     def consistent(self):
         return self.reachable + self.unreachable + self.unknown == self.total

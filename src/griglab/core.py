@@ -106,6 +106,7 @@ class GroupPreset:
         self.gen_labels = [spec["label"] for spec in generator_specs]
 
         self._intern = {}
+        self._perms = {}  # permutation -> the one tuple its elements share
         self._mul_memo = {}
         self._inv_memo = {}
         self._action_memo = {}
@@ -232,6 +233,7 @@ class GroupPreset:
         # intern the atom shapes so any computed product that matches a
         # generator collapses onto it
         for atom in self.atoms.values():
+            atom.perm = self._perms.setdefault(atom.perm, atom.perm)
             self._intern.setdefault((atom.perm, atom.sections), atom)
 
     def _atom_order(self, label):
@@ -389,7 +391,7 @@ class GroupPreset:
         needs no preset check; `multiply` makes it once per call.
         """
         memo, make, one = self._mul_memo, self.make_element, self.identity
-        points = range(self.arity)
+        perms, composed = self._perms, {}  # (x.perm, y.perm) -> shared compose
 
         def mul(x, y):
             if x is one:
@@ -398,9 +400,14 @@ class GroupPreset:
                 return x
             out = memo.get((x, y))
             if out is None:
-                xs, yp, ys = x.sections, y.perm, y.sections
-                sections = tuple([mul(xs[yp[v]], ys[v]) for v in points])
-                out = memo[(x, y)] = make(compose(x.perm, yp), sections)
+                xs, yp = x.sections, y.perm
+                # map, not a comprehension: no frame per product
+                sections = tuple(map(mul, map(xs.__getitem__, yp), y.sections))
+                perm = composed.get((x.perm, yp))
+                if perm is None:
+                    perm = compose(x.perm, yp)
+                    perm = composed[x.perm, yp] = perms.setdefault(perm, perm)
+                out = memo[(x, y)] = make(perm, sections)
             return out
 
         return mul
@@ -409,14 +416,14 @@ class GroupPreset:
         """Intern the automorphism with the given shape.
 
         Sections must already be canonical elements of this preset; the
-        result is the unique shared object for this automorphism.
+        result is the unique shared object for this automorphism, and a new
+        element takes the preset's one tuple for its permutation.
         """
-        key = (perm, sections)
-        got = self._intern.get(key)
+        got = self._intern.get((perm, sections))
         if got is not None:
             return got
-        elem = Element(perm, sections, None, self)
-        return self._intern.setdefault(key, elem)
+        perm = self._perms.setdefault(perm, perm)
+        return self._intern.setdefault((perm, sections), Element(perm, sections, None, self))
 
     def cache(self, name):
         """The preset's memo table called `name`, created empty on first use.

@@ -7,8 +7,6 @@ through the element arithmetic.  No builder output counts until it verifies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import core
 
 CONJUGATE_PRODUCT = "conjugate-product"
@@ -16,10 +14,10 @@ COMMUTATOR_PRODUCT = "commutator-product"
 PALINDROME_PRODUCT = "palindrome-product"
 
 
-@dataclass(frozen=True)
 class ConjugateFactor:
-    base: str  # generator word
-    conjugator: str
+    def __init__(self, base, conjugator):
+        self.base = base  # generator word
+        self.conjugator = conjugator
 
     def evaluate(self, preset):
         z = core.evaluate(preset, self.conjugator)
@@ -29,10 +27,10 @@ class ConjugateFactor:
         return f"{self.base}^{self.conjugator or '1'}"
 
 
-@dataclass(frozen=True)
 class CommutatorFactor:
-    left: str
-    right: str
+    def __init__(self, left, right):
+        self.left = left
+        self.right = right
 
     def evaluate(self, preset):
         return core.commutator(
@@ -43,9 +41,9 @@ class CommutatorFactor:
         return f"[{self.left or '1'},{self.right or '1'}]"
 
 
-@dataclass(frozen=True)
 class PalindromeFactor:
-    word: str
+    def __init__(self, word):
+        self.word = word
 
     def evaluate(self, preset):
         return core.evaluate(preset, self.word)
@@ -54,11 +52,11 @@ class PalindromeFactor:
         return self.word or "1"
 
 
-@dataclass(frozen=True)
 class Expression:
-    kind: str
-    factors: tuple
-    preset: object
+    def __init__(self, kind, factors, preset):
+        self.kind = kind
+        self.factors = factors  # a tuple
+        self.preset = preset
 
     def __len__(self):
         return len(self.factors)

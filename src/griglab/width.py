@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import operator
 import time
-from dataclasses import dataclass
 
 from . import core, enumeration, expressions, words
 
@@ -26,23 +25,27 @@ INCONCLUSIVE = "inconclusive"
 MAX_SET = 2_000_000  # cap on the materialized pair and commutator sets
 
 
-@dataclass
 class SearchBudget:
-    radius: int = 6  # conjugator / entry radius
-    factor_cap: int = 4
-    time_limit: float | None = None  # seconds, soft
-
-    def __post_init__(self):
-        if self.radius < 0 or self.factor_cap < 0:
+    def __init__(self, radius=6, factor_cap=4, time_limit=None):
+        if radius < 0 or factor_cap < 0:
             raise ValueError("budget fields must be nonnegative")
+        self.radius = radius  # conjugator / entry radius
+        self.factor_cap = factor_cap
+        self.time_limit = time_limit  # seconds, soft; None for no limit
+
+    def __repr__(self):  # part of an inconclusive result's note
+        return (
+            f"SearchBudget(radius={self.radius!r}, factor_cap={self.factor_cap!r},"
+            f" time_limit={self.time_limit!r})"
+        )
 
 
-@dataclass
 class WidthResult:
-    status: str
-    expression: object | None
-    target: object
-    note: str = ""
+    def __init__(self, status, expression, target, note=""):
+        self.status = status
+        self.expression = expression  # None unless decomposed
+        self.target = target
+        self.note = note
 
     @property
     def factors(self):
@@ -51,13 +54,25 @@ class WidthResult:
 
 # ----------------------------------------------------------------------
 # deduplicated factor sets
+#
+# A singles set maps each element to its first realization in ball order and
+# is then kept in value order, the order the driver scans it in.  A value
+# (a palindrome, or the words of a conjugate or commutator) determines its
+# element, so no two values are equal and the order is total.
+
+
+def _in_value_order(table):
+    items = sorted(table.items(), key=operator.itemgetter(1))
+    table.clear()
+    table.update(items)
+    return table
 
 
 def conjugate_set(preset, radius, bases=None):
     """Deduplicated conjugates of the chosen generators by B(radius).
 
     Maps each element x^t to its first (base, conjugator) pair in sorted
-    ball order; the word realization is deterministic.
+    ball order; the set itself is kept in value order.
     """
     bases = list(bases) if bases is not None else list(preset.gen_labels)
     cache = preset.cache("conjugate_set")
@@ -69,7 +84,7 @@ def conjugate_set(preset, radius, bases=None):
         for base in bases:
             e = core.conjugate(preset.atoms[base], t)
             out.setdefault(e, (base, tw))
-    cache[key] = out
+    cache[key] = _in_value_order(out)
     return out
 
 
@@ -79,8 +94,7 @@ def conjugate_pair_set(preset, radius, bases=None):
     key = (radius, None if bases is None else tuple(bases))
     if key in cache:
         return cache[key]
-    p1 = conjugate_set(preset, radius, bases)
-    items = sorted(p1.items(), key=lambda kv: kv[1])
+    items = conjugate_set(preset, radius, bases).items()
     out = {}
     for e1, f1 in items:
         for e2, f2 in items:
@@ -106,7 +120,7 @@ def commutator_set(preset, radius):
             out.setdefault(e, (xw, yw))
         if len(out) > MAX_SET:
             raise MemoryError("commutator set exceeded budget")
-    cache[radius] = out
+    cache[radius] = _in_value_order(out)
     return out
 
 
@@ -118,10 +132,10 @@ def palindrome_set(preset, radius):
     """
     cache = preset.cache("palindrome_set")
     if radius not in cache:
-        cache[radius] = {
+        cache[radius] = _in_value_order({
             e: words.invert_word(tw) + base + tw
             for e, (base, tw) in conjugate_set(preset, radius).items()
-        }
+        })
     return cache[radius]
 
 
@@ -157,19 +171,17 @@ def _search(g, budget, product, factor, singles, pairs=None):
 def _splits(one, pairs, factor_cap):
     """(scan, lookup table, join) for 2, 3 and 4 factors, up to factor_cap.
 
-    Singles are scanned in value order (their insertion order is not); the
-    pair set is built only on reaching three factors and is scanned in its
-    insertion order, which already is value order.  Without `pairs` the
-    search stops at two factors.
+    Both sets are scanned in their insertion order, which is value order;
+    the pair set is built only on reaching three factors.  Without `pairs`
+    the search stops at two factors.
     """
     if factor_cap < 2:
         return
-    by_value = sorted(one.items(), key=lambda kv: kv[1])
-    yield by_value, one, lambda f, h: (f, h)
+    yield one.items(), one, lambda f, h: (f, h)
     if factor_cap < 3 or pairs is None:
         return
     two = pairs()
-    yield by_value, two, lambda f, hs: (f, *hs)
+    yield one.items(), two, lambda f, hs: (f, *hs)
     if factor_cap >= 4:
         yield two.items(), two, operator.add
 

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -87,6 +88,17 @@ def test_conjgrowth_rows(tmp_path):
         assert core.equals(core.conjugate(x, core.evaluate(grig, z)), y)
     upper = int(lines[-1].split(",")[2])
     assert len(witnesses) == len(enumeration.ball(grig, 4)) - upper
+
+
+def test_conjgrowth_json_rows_are_the_row_attributes(tmp_path, capsys):
+    argv = ["conjgrowth", "--max-length", "2", "--depth", "4", "--radius", "2"]
+    assert run(argv + ["--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert rows[:2] == [
+        {"exact": True, "lower": 1, "n": 0, "upper": 1},
+        {"exact": True, "lower": 5, "n": 1, "upper": 5},
+    ]
+    assert all(set(r) == {"n", "lower", "upper", "exact"} for r in rows)
 
 
 def test_width_targets(tmp_path):
@@ -312,7 +324,48 @@ def test_subcommands_import_only_their_layers():
     assert not new & {"dataclasses", "traceback"}
     new = _loaded_by(["conjgrowth", "--max-length", "3", "--depth", "4", "--radius", "2"])
     assert "griglab.conjugacy" in new
-    assert not new & {"griglab.bounds", "griglab.width"}
+    assert not new & {"griglab.bounds", "griglab.width", "dataclasses"}
     new = _loaded_by(["width", "--target", "abab", "--radius", "2"])
     assert "griglab.width" in new
-    assert not new & {"griglab.conjugacy", "griglab.constructions", "griglab.bounds"}
+    assert not new & {
+        "griglab.conjugacy", "griglab.constructions", "griglab.bounds", "dataclasses"
+    }
+    new = _loaded_by(["audit", "--lemma", "all", "--max-length", "4", "--radius", "2"])
+    assert {"griglab.bounds", "griglab.constructions", "griglab.width"} <= new
+    assert "dataclasses" not in new
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_restores_the_callers_collector_setting(enabled, tmp_path):
+    # the gupta-sidki-3 file is loaded afresh, so the run builds a new heap
+    argv = ["growth", "--group", "gupta-sidki-3", "--max-length", "8"]
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert run(argv + ["--out", str(tmp_path / "g.csv")]) == 0
+        assert gc.isenabled() is enabled
+        if enabled:  # the heap went to the oldest generation, not a young one
+            assert len(gc.get_objects(generation=0)) + len(gc.get_objects(generation=1)) < 100
+        assert run(["growth", "--max-length", "-1"]) == 3
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+# atexit runs handlers last in, first out, so a handler registered before
+# griglab.cli is imported runs after the one that module registers
+_FROZEN_AT_EXIT = """
+import atexit, gc, os, sys
+atexit.register(lambda: print("frozen", gc.get_freeze_count() > 0))
+from griglab import cli
+print("code", cli.main(["growth", "--max-length", "3", "--out", os.devnull]))
+"""
+
+
+def test_exit_freezes_the_heap_instead_of_collecting_it():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FROZEN_AT_EXIT],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.splitlines() == ["code 0", "frozen True"]

@@ -80,6 +80,20 @@ def test_multiply_examples(grig):
     assert aba.sections == (grig.atom("c"), grig.atom("a"))
 
 
+def test_elements_share_one_tuple_per_permutation():
+    for fresh in (
+        core.GroupPreset("grigorchuk", 2, core.GRIGORCHUK_SPECS),
+        load_preset("gupta-sidki-3"),
+    ):
+        ball_ = enumeration.ball(fresh, 5)
+        for e in list(ball_.entries):
+            invert(e)
+        shared = {}
+        for e in fresh._intern.values():
+            assert shared.setdefault(e.perm, e.perm) is e.perm
+        assert len(shared) == fresh.arity  # both permute the children by rotations
+
+
 def test_multiply_rejects_mixed_presets(grig):
     # conjugate and commutator call the product kernel without multiply,
     # so each makes the preset check itself

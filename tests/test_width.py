@@ -58,6 +58,19 @@ def test_conjugate_width_time_budget_is_inconclusive(grig):
     assert r.status == INCONCLUSIVE and r.expression is None and r.note == "time budget"
 
 
+def test_budget_rejects_negative_fields_and_is_named_in_the_note(grig):
+    for bad in ({"radius": -1}, {"factor_cap": -1}):
+        with pytest.raises(ValueError, match="nonnegative"):
+            SearchBudget(**bad)
+    # two conjugates, one allowed
+    r = conjugate_width(core.evaluate(grig, "abab"), SearchBudget(radius=1, factor_cap=1))
+    assert r.status == INCONCLUSIVE and r.expression is None
+    assert r.note == (
+        "no decomposition within budget"
+        " SearchBudget(radius=1, factor_cap=1, time_limit=None)"
+    )
+
+
 def test_commutator_width_examples(grig):
     r = commutator_width(grig.identity)
     assert r.status == DECOMPOSED and r.factors == 0
