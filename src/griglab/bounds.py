@@ -98,7 +98,7 @@ class AssemblyAuditReport:
         self.swap_merged = swap_merged
 
 
-def assembly_audit(n, preset=None, invariant_depth=8):
+def assembly_audit(n, preset=None):
     """Assemble elements from pairs of class representatives on the subtrees.
 
     For each unordered pair of exact class representatives of B(n), a word
@@ -111,7 +111,8 @@ def assembly_audit(n, preset=None, invariant_depth=8):
     if n > 3:
         raise ValueError("assembly audit is a desk-scale check; use n <= 3")
     ball_ = enumeration.ball(preset, n)
-    part = conjugacy.class_partition(ball_, invariant_depth, 6)
+    depth = 8  # of the invariants in the partition and in the separation check
+    part = conjugacy.class_partition(ball_, depth, 6)
     reps = sorted(
         {part.uf.find(e) for e in ball_.entries}, key=lambda e: ball_.entries[e]
     )
@@ -127,14 +128,8 @@ def assembly_audit(n, preset=None, invariant_depth=8):
                 skipped.append(((wi, wj), res.status))
                 continue
             assembled[(wi, wj)] = core.evaluate(preset, res.word)
-    separated = True
-    keys = sorted(assembled)
-    for x in range(len(keys)):
-        for y in range(x + 1, len(keys)):
-            ix = conjugacy.depth_invariant(assembled[keys[x]], invariant_depth)
-            iy = conjugacy.depth_invariant(assembled[keys[y]], invariant_depth)
-            if ix == iy:
-                separated = False
+    invariants = [conjugacy.depth_invariant(e, depth) for e in assembled.values()]
+    separated = len(set(invariants)) == len(invariants)
     swap_merged = True
     for (wi, wj), elem in assembled.items():
         if wi == wj:

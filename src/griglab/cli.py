@@ -37,17 +37,6 @@ EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
 EXIT_INTERNAL = 4
 
-AUDIT_LEMMAS = (
-    "subwords",
-    "comm-k",
-    "comm-g",
-    "bcw-rewrite",
-    "palindrome",
-    "dihedral",
-    "recursion",
-    "assembly",
-)
-
 
 class UsageError(Exception):
     pass
@@ -120,10 +109,10 @@ def cmd_conjgrowth(config, out_path, witness_path=None):
     from . import conjugacy
 
     preset = _preset(config)
-    if preset.arity != 2:
-        raise UsageError(
-            f"conjgrowth needs a binary preset; {preset.name!r} has arity {preset.arity}"
-        )
+    try:  # the check class_partition makes, before the ball is built
+        conjugacy.bucket_level(preset)
+    except core.PresetError as exc:
+        raise UsageError(f"--group {config.group}: {exc}") from exc
     ball_ = enumeration.ball(preset, config.max_length)
     part = conjugacy.class_partition(
         ball_, config.depth, config.radius, escalate_to=config.radius + 2
@@ -209,16 +198,11 @@ def _audit_subwords(config, preset, rng):
     return report, inconclusive
 
 
-def _k_ball_members(preset, data, radius=8):
-    ball_ = enumeration.ball(preset, radius)
-    return [e for e, _ in ball_.sorted_items() if data.k_membership(e)]
-
-
 def _audit_comm_k(config, preset, rng):
     from . import constructions
 
     data = constructions.branching_data(preset)
-    members = _k_ball_members(preset, data)
+    members = [e for e, _ in enumeration.ball(preset, 8).sorted_items() if data.k_membership(e)]
     ok = 0
     failures = []
     for _ in range(100):
@@ -420,12 +404,12 @@ _AUDITS = {
 def cmd_audit(config, lemma, out_path):
     if lemma != "all" and lemma not in _AUDITS:
         raise UsageError(
-            f"unknown lemma {lemma!r}; expected one of {', '.join(AUDIT_LEMMAS)} or all"
+            f"unknown lemma {lemma!r}; expected one of {', '.join(_AUDITS)} or all"
         )
     if config.group != "grigorchuk":
         raise UsageError("audit lemmas are stated for the built-in grigorchuk preset only")
     preset = _preset(config)
-    names = list(AUDIT_LEMMAS) if lemma == "all" else [lemma]
+    names = list(_AUDITS) if lemma == "all" else [lemma]
     reports = []
     any_failed = False
     any_inconclusive = False

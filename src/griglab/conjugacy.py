@@ -1,4 +1,5 @@
-"""Certified conjugacy separation and merging on binary rooted trees.
+"""Certified conjugacy separation and merging for every preset with a
+layered basis (prime arity, generators that rotate the children).
 
 The bracket [lower, upper] around a class count is maintained from two
 sides.  Separations (lower bound) come from class functions: the recursive
@@ -18,47 +19,65 @@ refinements.
 from __future__ import annotations
 
 import json
+from functools import reduce
 
 from . import constructions, core, enumeration
 
 _UNIT = ("u",)
 
-BUCKET_QUOTIENT_LEVEL = 4
+BUCKET_ORDER_CAP = 10_000  # largest level quotient class_partition enumerates
 DEFAULT_SEPARATION_LEVEL = 5
 
 
 def depth_invariant(x, m, _memo=None):
-    """Recursive conjugation certificate of depth m.
+    """Recursive conjugation certificate of depth m, for any arity.
 
-    Root-inactive: the unordered pair of section invariants.  Root-active:
-    an "active" tag plus the invariant of the product of the sections.
-    Depth 0 is the unit.  Nested tuples, canonically sortable; equal values
-    are necessary for conjugacy, and the certificate refines as m grows.
+    The sorted pairs (length, depth-(m-1) invariant of the product of the
+    sections met walking the cycle through the inverse permutation) over
+    the cycles of the root permutation; that product is a cyclic rotation,
+    so a conjugate, of the cycle's first-return section.  Depth 0 is the
+    unit.  Equal values are necessary for conjugacy in the full automorphism
+    group, and the certificate refines as m grows.
     """
     if m < 0:
         raise ValueError("depth must be >= 0")
-    if x.preset.arity != 2:
-        raise ValueError("depth invariants are implemented for arity 2 only")
-    if _memo is None:
-        _memo = x.preset.cache("depth_invariant")
     if m == 0:
         return _UNIT
+    if _memo is None:
+        _memo = x.preset.cache("depth_invariant")
     got = _memo.get((x, m))
     if got is not None:
         return got
-    s0, s1 = x.sections
-    if x.perm == (0, 1):
-        i0 = depth_invariant(s0, m - 1, _memo)
-        i1 = depth_invariant(s1, m - 1, _memo)
-        out = ("p",) + tuple(sorted((i0, i1)))
-    else:
-        out = ("a", depth_invariant(core.multiply(s0, s1), m - 1, _memo))
+    back, seen, pairs = core.inverse(x.perm), set(), []
+    for v in range(len(back)):
+        if v in seen:
+            continue
+        cycle = [v]
+        while back[cycle[-1]] != v:
+            cycle.append(back[cycle[-1]])
+        seen.update(cycle)
+        first_return = reduce(x.preset._mul, map(x.sections.__getitem__, cycle))
+        pairs.append((len(cycle), depth_invariant(first_return, m - 1, _memo)))
+    out = tuple(sorted(pairs))
     _memo[(x, m)] = out
     return out
 
 
 # ----------------------------------------------------------------------
 # level quotient machinery
+
+
+def bucket_level(preset):
+    """The deepest level m whose quotient G_m has order at most BUCKET_ORDER_CAP.
+
+    Orders are read off the layered bases, so no quotient is enumerated,
+    and a preset with no layered basis raises core.PresetError.  Once
+    G_m = G_(m+1), every later quotient is G_m too, so the search stops.
+    """
+    m, basis = 0, core.layered_basis
+    while BUCKET_ORDER_CAP >= basis(preset, m + 1).order() > basis(preset, m).order():
+        m += 1
+    return m
 
 
 def quotient_class_table(preset, m):
@@ -70,7 +89,7 @@ def quotient_class_table(preset, m):
     cache = preset.cache("quotient_class_table")
     if m in cache:
         return cache[m]
-    moves = _conjugations(preset, m)
+    moves = [core.conjugation(g) for g in core.generator_actions(preset, m)]
     class_of = {}
     n_classes = 0
     for p in sorted(constructions.level_quotient(preset, m)):
@@ -80,10 +99,6 @@ def quotient_class_table(preset, m):
             n_classes += 1
     cache[m] = class_of
     return class_of
-
-
-def _conjugations(preset, m):
-    return [core.conjugation(g) for g in core.generator_actions(preset, m)]
 
 
 def quotient_class_id(x, m):
@@ -326,9 +341,9 @@ def class_partition(
 ):
     """Certified conjugacy bracket over the members of a ball.
 
-    Buckets are keyed by (depth invariant, level-4 quotient class); merges run
-    conjugator searches within buckets, shortest members first.  Classes
-    still sharing a bucket are separated by the layer lift, an exact
+    Buckets are keyed by (depth invariant, class in G_m, m = bucket_level);
+    merges run conjugator searches within buckets, shortest members first.
+    Classes still sharing a bucket are separated by the layer lift, an exact
     conjugacy decision in the level-`separation_level` quotient, in (length,
     word) order of their shortest member, so the bracket restricts to every
     sub-ball; the lower bound counts the largest exhibited pairwise-separated
@@ -337,9 +352,10 @@ def class_partition(
     """
     members = [e for e, _ in ball_.sorted_items()]
     word_of = {e: w for e, (_, w) in ball_.entries.items()}
+    level = bucket_level(ball_.preset)
     buckets = {}
     for e in members:
-        key = (depth_invariant(e, depth), quotient_class_id(e, BUCKET_QUOTIENT_LEVEL))
+        key = (depth_invariant(e, depth), quotient_class_id(e, level))
         buckets.setdefault(key, []).append(e)
     uf = UnionFind(members)
     witnesses = {}
@@ -374,8 +390,7 @@ def class_partition(
         return list(shortest.values()), counted, open_pairs
 
     classes, separated, unresolved = [], [], []
-    for key in sorted(buckets, key=repr):
-        group = buckets[key]
+    for group in buckets.values():
         for other in group[1:]:
             merge(other, group[0], radius)
         merge_roots(group, radius)

@@ -282,9 +282,9 @@ class GroupPreset:
                 stack.append(atom)
         return tuple(stack)
 
-    def word_acts_trivially(self, word, budget=None):
+    def word_acts_trivially(self, word):
         """Exact identity test for a word of atoms; may raise UndecidedError."""
-        budget = budget or self.identity_budget
+        budget = self.identity_budget
         seed = self._free_reduce_atoms(word)
         seen = set()
         stack = [seed]

@@ -13,7 +13,6 @@ from __future__ import annotations
 from . import core
 
 GRIG_ALPHABET = "abcd"
-_STARS = "bcd"
 
 
 def reduce(word, preset=None):

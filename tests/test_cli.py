@@ -43,7 +43,6 @@ def test_growth_gupta_sidki_3(tmp_path):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["conjgrowth", "--max-length", "3", "--depth", "4", "--radius", "2"],
         ["audit", "--lemma", "all", "--max-length", "3"],
         ["width", "--target", "a", "--radius", "2"],
     ],
@@ -51,6 +50,38 @@ def test_growth_gupta_sidki_3(tmp_path):
 def test_grigorchuk_only_subcommands_reject_gupta_sidki_3(argv, capsys):
     assert run(argv + ["--group", "gupta-sidki-3"]) == 3
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_conjgrowth_gupta_sidki_3(tmp_path):
+    out, wit = tmp_path / "f.csv", tmp_path / "wit.json"
+    argv = ["conjgrowth", "--group", "gupta-sidki-3", "--max-length", "6"]
+    assert run(argv + ["--out", str(out), "--witness-out", str(wit)]) == 0
+    classes = (1, 4, 7, 9, 12, 16, 23)
+    assert out.read_text().splitlines() == ["n,lower,upper,exact"] + [
+        f"{n},{f},{f},true" for n, f in enumerate(classes)
+    ]
+    gs = core.load_preset("gupta-sidki-3")
+    witnesses = json.loads(wit.read_text())
+    for pair, z in witnesses.items():
+        x, y = (core.evaluate(gs, w) for w in pair.split("|"))
+        assert core.equals(core.conjugate(x, core.evaluate(gs, z)), y)
+    assert len(witnesses) == len(enumeration.ball(gs, 6)) - classes[-1]
+
+
+def test_conjgrowth_rejects_a_preset_without_a_layered_basis(tmp_path, capsys, monkeypatch):
+    # arity 4 is not prime, so no level quotient is a p-group; the check
+    # comes before the ball, which would crash here
+    monkeypatch.setattr(enumeration, "ball", lambda *a: 1 / 0)
+    spec = {"label": "r", "involution": False, "perm": [1, 2, 3, 0], "sections": ["1"] * 4}
+    group = tmp_path / "cyclic-4.json"
+    group.write_text(
+        json.dumps({"schema": "asg-1", "name": "cyclic-4", "arity": 4, "generators": [spec]})
+    )
+    out, wit = tmp_path / "f.csv", tmp_path / "wit.json"
+    argv = ["conjgrowth", "--group", str(group), "--out", str(out), "--witness-out", str(wit)]
+    assert run(argv) == 3
+    assert capsys.readouterr().err.startswith(f"error: --group {group}: ")
+    assert not out.exists() and not wit.exists()
 
 
 def test_growth_json_format(tmp_path):

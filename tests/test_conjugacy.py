@@ -49,6 +49,55 @@ def test_invariant_refines_with_depth(grig, ball6):
         assert len(set(fine_keys)) >= len(coarse)
 
 
+def _binary_invariant(x, m, memo):
+    # the binary-only formula the first-return invariant replaced
+    if m == 0:
+        return ("u",)
+    if (x, m) not in memo:
+        s0, s1 = x.sections
+        if x.perm == (0, 1):
+            pair = sorted(_binary_invariant(s, m - 1, memo) for s in (s0, s1))
+            memo[(x, m)] = ("p", *pair)
+        else:
+            memo[(x, m)] = ("a", _binary_invariant(core.multiply(s0, s1), m - 1, memo))
+    return memo[(x, m)]
+
+
+def test_invariant_partitions_grigorchuk_as_the_binary_formula(grig):
+    members = list(enumeration.ball(grig, 10).entries)
+    memo = {}
+    for m in range(9):
+        pairs = {(_binary_invariant(e, m, memo), depth_invariant(e, m)) for e in members}
+        # a bijection between the two sets of keys: the same partition
+        assert len({old for old, _ in pairs}) == len({new for _, new in pairs}) == len(pairs)
+    assert len(pairs) == 30
+
+
+def test_invariant_constant_on_conjugates_in_gupta_sidki_3():
+    gs = core.load_preset("gupta-sidki-3")
+    pool = [e for e, _ in enumeration.ball(gs, 4).sorted_items()]
+    rng = random.Random(3)
+    for _ in range(200):
+        x, z = rng.choice(pool), rng.choice(pool)
+        y = core.conjugate(x, z)
+        for m in range(7):
+            assert depth_invariant(x, m) == depth_invariant(y, m)
+    # t and ut rotate the root alike; their first returns, 1 and a conjugate
+    # of u = (t, s, u), differ at depth 2
+    t, ut = gs.atom("t"), core.evaluate(gs, "ut")
+    assert depth_invariant(t, 2) == depth_invariant(ut, 2)
+    assert depth_invariant(t, 3) != depth_invariant(ut, 3)
+
+
+def test_bucket_level_is_the_deepest_quotient_within_the_cap(grig):
+    gs = core.load_preset("gupta-sidki-3")
+    assert conjugacy.bucket_level(grig) == 4  # |G_4| = 4,096, |G_5| = 2^22
+    assert conjugacy.bucket_level(gs) == 3  # |G_3| = 3^7, |G_4| = 3^19
+    # a finite group: G_1 = G_2 = C_3, so every deeper level is G_1 as well
+    rotation = {"label": "r", "involution": False, "perm": [1, 2, 0], "sections": ["1"] * 3}
+    assert conjugacy.bucket_level(core.GroupPreset("cyclic-3", 3, [rotation])) == 1
+
+
 def test_conjugator_search_examples(grig):
     a = grig.atom("a")
     bab = core.evaluate(grig, "bab")
