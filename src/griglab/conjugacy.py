@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from functools import reduce
 
-from . import constructions, core, enumeration
+from . import core, enumeration
 
 _UNIT = ("u",)
 
@@ -81,28 +81,37 @@ def bucket_level(preset):
 
 
 def quotient_class_table(preset, m):
-    """Conjugacy class index of every element of the level-m quotient.
+    """The conjugacy classes of G_m met so far, cached on the preset.
 
-    Classes are conjugation orbits under the generators, numbered in the
-    sorted order of the quotient.  Cached on the preset.
+    Maps every state whose class `quotient_class` has enumerated to the
+    class's least state, so only the classes that a caller meets are
+    ever enumerated, never G_m itself.
     """
     cache = preset.cache("quotient_class_table")
-    if m in cache:
-        return cache[m]
-    moves = [core.conjugation(g) for g in core.generator_actions(preset, m)]
-    class_of = {}
-    n_classes = 0
-    for p in sorted(constructions.level_quotient(preset, m)):
-        if p not in class_of:
-            orbit, _ = core.closure([p], moves)
-            class_of.update(dict.fromkeys(orbit, n_classes))
-            n_classes += 1
-    cache[m] = class_of
-    return class_of
+    if m not in cache:
+        cache[m] = {}
+    return cache[m]
+
+
+def quotient_class(preset, m, s):
+    """The least state of the conjugacy class of the state s in G_m.
+
+    On first sight of a class, its conjugation orbit under the generators
+    is enumerated and every member recorded in `quotient_class_table`.
+    """
+    table = quotient_class_table(preset, m)
+    got = table.get(s)
+    if got is None:
+        moves = [core.conjugation(g) for g in core.generator_actions(preset, m)]
+        orbit, _ = core.closure([s], moves)
+        got = min(orbit)
+        table.update(dict.fromkeys(orbit, got))
+    return got
 
 
 def quotient_class_id(x, m):
-    return quotient_class_table(x.preset, m)[core.state(core.level_action(x, m))]
+    """The class of x's image in G_m, as `quotient_class` names it."""
+    return quotient_class(x.preset, m, core.state(core.level_action(x, m)))
 
 
 def quotient_separated(x, y, m):
@@ -247,9 +256,11 @@ def conjugator_search(x, y, radius):
     Returns the witness word (re-verified before returning) or None, which
     certifies only that no conjugator exists within B(radius).  The half
     tables {x^u: first word u} and [(y^(v^-1), word v)], both in (length,
-    word) order, depend only on one element and one half-radius, so they
-    are kept in the preset's `conjugator_tables` cache and reused by every
-    later search with that element on the same side; so is the half ball
+    word) order, are built along the half ball's word tree by
+    `core.conjugates`, one memoised step per word.  They depend only on one
+    element and one half-radius, so they are kept in the preset's
+    `conjugator_tables` cache and reused by every later search with that
+    element on the same side; so are the words of the half ball
     B(ceil(R/2)) they are built from, once per half-radius.
     """
     core._check_same_preset(x, y)
@@ -260,19 +271,21 @@ def conjugator_search(x, y, radius):
     left = tables.get(("left", x, r1))
     right = tables.get(("right", y, r2))
     if left is None or right is None:
-        items = tables.get(("ball", r1))
-        if items is None:
-            items = tables[("ball", r1)] = enumeration.ball(preset, r1).sorted_items()
+        words = tables.get(("ball", r1))
+        if words is None:
+            words = tables[("ball", r1)] = [
+                word for _, (_, word) in enumeration.ball(preset, r1).sorted_items()
+            ]
         if left is None:
             left = tables[("left", x, r1)] = {}
-            for u, (_, word) in items:
-                left.setdefault(core.conjugate(x, u), word)
+            for e, word in zip(core.conjugates(x, words), words):
+                left.setdefault(e, word)
         if right is None:
-            right = tables[("right", y, r2)] = [
-                (core.conjugate(y, core.invert(v)), word)
-                for v, (ln, word) in items
-                if ln <= r2
-            ]
+            # ball words are geodesic, so B(r2) is the words of length <= r2
+            short = [word for word in words if len(word) <= r2]
+            right = tables[("right", y, r2)] = list(
+                zip(core.conjugates(y, short, inverse=True), short)
+            )
     for target, word in right:
         got = left.get(target)
         if got is not None:

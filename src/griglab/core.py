@@ -108,6 +108,7 @@ class GroupPreset:
         self._intern = {}
         self._perms = {}  # permutation -> the one tuple its elements share
         self._mul_memo = {}
+        self._sandwich_memo = {}
         self._inv_memo = {}
         self._action_memo = {}
         self._caches = {}
@@ -120,6 +121,7 @@ class GroupPreset:
         self.pair_rules = {}
         self._seed_atom_products()
         self._mul = self._product_kernel()
+        self._sandwich = self._sandwich_kernel()
 
     # ------------------------------------------------------------------
     # validation and atom construction
@@ -412,6 +414,36 @@ class GroupPreset:
 
         return mul
 
+    def _sandwich_kernel(self):
+        """The product h*c*k of atoms h, k and an element c, memoised.
+
+        The sections of an atom are atoms, so the recursion stays inside
+        this kernel; it hands c an atom, or h or k the identity, to `_mul`.
+        Its memo is kept apart from `_mul`'s, which measured faster than one
+        shared table.
+        """
+        memo, mul, make, one = self._sandwich_memo, self._mul, self.make_element, self.identity
+        perms, composed = self._perms, {}  # perms of h, c, k -> those of c*k, h*c*k
+
+        def sandwich(h, c, k):
+            if c.label is not None or h is one or k is one:
+                return mul(mul(h, c), k)
+            out = memo.get((h, c, k))
+            if out is None:
+                kp = k.perm
+                got = composed.get((h.perm, c.perm, kp))
+                if got is None:
+                    ck = compose(c.perm, kp)
+                    hck = compose(h.perm, ck)
+                    got = composed[h.perm, c.perm, kp] = (ck, perms.setdefault(hck, hck))
+                ck, perm = got
+                hs, cs = h.sections.__getitem__, c.sections.__getitem__
+                sections = tuple(map(sandwich, map(hs, ck), map(cs, kp), k.sections))
+                out = memo[(h, c, k)] = make(perm, sections)
+            return out
+
+        return sandwich
+
     def make_element(self, perm, sections):
         """Intern the automorphism with the given shape.
 
@@ -520,6 +552,34 @@ def conjugate(x, z):
     _check_same_preset(x, z)
     mul = x.preset._mul
     return mul(mul(invert(z), x), z)
+
+
+def conjugates(x, words, inverse=False):
+    """x^w for each word w, or x^(w**-1) with `inverse`, in the words' order.
+
+    Words are strings of atom labels.  x^(w g) = g**-1 * x^w * g is one
+    `_sandwich` step from the value of the prefix w, and
+    x^((g w)**-1) = g * x^(w**-1) * g**-1 one from the value of the suffix
+    w; those values are memoised for the call, so a table over a ball,
+    whose words' prefixes are ball words, costs one step per word.
+    """
+    preset = x.preset
+    sandwich, atom, inv = preset._sandwich, preset.atom, preset._inverse_atom
+    memo = {"": x}
+
+    def conj(w):
+        got = memo.get(w)
+        if got is None:
+            if inverse:
+                g = atom(w[0])
+                got = sandwich(g, conj(w[1:]), inv[g])
+            else:
+                g = atom(w[-1])
+                got = sandwich(inv[g], conj(w[:-1]), g)
+            memo[w] = got
+        return got
+
+    return [conj(w) for w in words]
 
 
 def commutator(x, y):

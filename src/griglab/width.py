@@ -79,11 +79,12 @@ def conjugate_set(preset, radius, bases=None):
     key = (radius, tuple(bases))
     if key in cache:
         return cache[key]
+    ts = [tw for _, (_, tw) in enumeration.ball(preset, radius).sorted_items()]
+    tables = [core.conjugates(preset.atoms[base], ts) for base in bases]
     out = {}
-    for t, (_, tw) in enumeration.ball(preset, radius).sorted_items():
-        for base in bases:
-            e = core.conjugate(preset.atoms[base], t)
-            out.setdefault(e, (base, tw))
+    for i, tw in enumerate(ts):
+        for base, table in zip(bases, tables):
+            out.setdefault(table[i], (base, tw))
     cache[key] = _in_value_order(out)
     return out
 
@@ -107,21 +108,38 @@ def conjugate_pair_set(preset, radius, bases=None):
 
 
 def commutator_set(preset, radius):
-    """Deduplicated commutators with both entries in B(radius)."""
+    """Deduplicated commutators with both entries in B(radius), in value order."""
+    cache = preset.cache("commutator_set")
+    if radius not in cache:
+        _first_commutator(preset, radius, None)
+    return cache[radius]
+
+
+def _first_commutator(preset, radius, g):
+    """The first (x word, y word) in ball order with [x, y] = g, or None.
+
+    Scans the pairs of B(radius) in ball order, each x with its table of
+    conjugates x^y, since [x, y] = x**-1 * x^y, and stops at g, so the
+    witness is the one the full set keeps.  Only a scan that reaches the
+    end caches what it saw, as the full commutator set.
+    """
     cache = preset.cache("commutator_set")
     if radius in cache:
-        return cache[radius]
+        return cache[radius].get(g)
     items = enumeration.ball(preset, radius).sorted_items()
-    out = {}
+    ys = [yw for _, (_, yw) in items]
+    mul, out = preset._mul, {}
     for x, (_, xw) in items:
         xi = core.invert(x)
-        for y, (_, yw) in items:
-            e = core.multiply(core.multiply(xi, core.invert(y)), core.multiply(x, y))
+        for xy, yw in zip(core.conjugates(x, ys), ys):
+            e = mul(xi, xy)
+            if e is g:
+                return xw, yw
             out.setdefault(e, (xw, yw))
         if len(out) > MAX_SET:
             raise MemoryError("commutator set exceeded budget")
     cache[radius] = _in_value_order(out)
-    return out
+    return None
 
 
 def palindrome_set(preset, radius):
@@ -143,11 +161,13 @@ def palindrome_set(preset, radius):
 # the meet-in-the-middle driver
 
 
-def _search(g, budget, product, factor, singles, pairs=None):
+def _search(g, budget, product, factor, singles, pairs=None, single=None):
     """Express g as a product of at most factor_cap factors from a set.
 
     `singles()` returns the deduplicated factor set (element -> factor) and
     `pairs()` the set of its pairwise products (element -> two factors);
+    `single(g)`, when given, finds g's factor in the set, or None, without
+    building the set;
     `product(preset, factors)` builds the Expression of factor(f) over the
     factors found.  The time limit is checked after every scanned candidate;
     when it passes, the result is inconclusive with the note "time budget".
@@ -155,10 +175,11 @@ def _search(g, budget, product, factor, singles, pairs=None):
     deadline = None if budget.time_limit is None else time.monotonic() + budget.time_limit
     if core.is_identity(g):
         return _decomposed(g, product, factor, ())
-    one = singles()
-    if budget.factor_cap >= 1 and g in one:
-        return _decomposed(g, product, factor, (one[g],))
-    for scan, table, join in _splits(one, pairs, budget.factor_cap):
+    if budget.factor_cap >= 1:
+        f = single(g) if single is not None else singles().get(g)
+        if f is not None:
+            return _decomposed(g, product, factor, (f,))
+    for scan, table, join in _splits(singles, pairs, budget.factor_cap):
         for c, left in scan:
             right = table.get(core.multiply(core.invert(c), g))
             if right is not None:
@@ -168,15 +189,16 @@ def _search(g, budget, product, factor, singles, pairs=None):
     return WidthResult(INCONCLUSIVE, None, g, f"no decomposition within budget {budget}")
 
 
-def _splits(one, pairs, factor_cap):
+def _splits(singles, pairs, factor_cap):
     """(scan, lookup table, join) for 2, 3 and 4 factors, up to factor_cap.
 
     Both sets are scanned in their insertion order, which is value order;
-    the pair set is built only on reaching three factors.  Without `pairs`
-    the search stops at two factors.
+    `singles()` is called only on reaching two factors and `pairs()` only
+    on reaching three.  Without `pairs` the search stops at two factors.
     """
     if factor_cap < 2:
         return
+    one = singles()
     yield one.items(), one, lambda f, h: (f, h)
     if factor_cap < 3 or pairs is None:
         return
@@ -233,6 +255,7 @@ def commutator_width(g, budget=None, preset=None):
         expressions.commutator_product,
         lambda f: expressions.CommutatorFactor(*f),
         lambda: commutator_set(preset, budget.radius),
+        single=lambda g: _first_commutator(preset, budget.radius, g),
     )
 
 

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from griglab import conjugacy, core, enumeration
+from griglab import conjugacy, constructions, core, enumeration
 from griglab.conjugacy import (
     class_partition,
     conj_growth_table,
@@ -219,6 +219,16 @@ def test_quotient_separation_is_sound(grig, ball6):
             assert not quotient_separated(x, y, m)
 
 
+def test_residue_pairs_meet_at_radius_28(grig):
+    # two of the B(16) pairs that level 8 leaves unseparated; the witnesses
+    # are the first in the half tables' (length, word) order
+    for wx, wy, z in [
+        ("ababababadacad", "ababac", "adababacababacabababababad"),
+        ("ababababacacac", "ababadacad", "dababababacacababababadabac"),
+    ]:
+        assert conjugator_search(core.evaluate(grig, wx), core.evaluate(grig, wy), 28) == z
+
+
 def test_known_nonconjugate_pair_separates(grig):
     x = core.evaluate(grig, "ab")
     y = core.evaluate(grig, "ababab")
@@ -235,9 +245,11 @@ def test_subball(grig, ball8):
 
 def test_quotient_class_tables(grig):
     for m, classes, order in ((3, 20, 128), (4, 61, 4096)):
-        table = conjugacy.quotient_class_table(grig, m)
-        assert len(table) == order
-        assert len(set(table.values())) == classes
+        quotient = constructions.level_quotient(grig, m)
+        ids = {conjugacy.quotient_class(grig, m, s) for s in quotient}
+        assert len(quotient) == order
+        assert len(ids) == classes
+        assert conjugacy.quotient_class_table(grig, m).keys() == quotient
 
 
 def _orbit(x, m):

@@ -185,6 +185,25 @@ def test_associativity_on_ball_sample(grig, ball6):
         assert multiply(multiply(x, y), z) is multiply(x, multiply(y, z))
 
 
+@pytest.mark.parametrize("name, radius", [("grigorchuk", 5), ("gupta-sidki-3", 4)])
+def test_sandwich_kernel_and_conjugate_tables_match_the_product(name, radius):
+    preset = load_preset(name)
+    items = enumeration.ball(preset, radius).sorted_items()
+    ws = [w for _, (_, w) in items]
+    atoms = list(preset.atoms.values())  # the identity and the inverse atoms too
+    for c, _ in items:
+        for h in atoms:
+            for k in atoms:
+                assert preset._sandwich(h, c, k) is multiply(multiply(h, c), k)
+    for x, _ in items:
+        forward = core.conjugates(x, ws)
+        backward = core.conjugates(x, ws, inverse=True)
+        for w, xw, xw_inv in zip(ws, forward, backward):
+            u = evaluate(preset, w)
+            assert xw is conjugate(x, u)
+            assert xw_inv is conjugate(x, invert(u))
+
+
 def test_oracle_agreement_length7(grig):
     from griglab import words
 
