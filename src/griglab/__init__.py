@@ -3,7 +3,6 @@
 from .core import (
     Element,
     GroupPreset,
-    Portrait,
     MixedPresetError,
     NonContractingError,
     PresetError,
@@ -18,7 +17,6 @@ from .core import (
     level_action,
     load_preset,
     multiply,
-    section,
 )
 
 __version__ = "0.1.0"
@@ -26,7 +24,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Element",
     "GroupPreset",
-    "Portrait",
     "MixedPresetError",
     "NonContractingError",
     "PresetError",
@@ -41,6 +38,5 @@ __all__ = [
     "level_action",
     "load_preset",
     "multiply",
-    "section",
     "__version__",
 ]

@@ -532,17 +532,6 @@ def equals(x, y):
     return x is y
 
 
-def section(x, path):
-    """Iterated section of x at a vertex given as a string of digits."""
-    d = x.preset.arity
-    for ch in path:
-        v = int(ch)
-        if not 0 <= v < d:
-            raise ValueError(f"path symbol {ch!r} out of range for arity {d}")
-        x = x.sections[v]
-    return x
-
-
 def canonical_key(x):
     return x.key()
 
@@ -886,44 +875,6 @@ def layered_basis(preset, m):
     if m not in cache:
         cache[m] = LayeredBasis(preset, m)
     return cache[m]
-
-
-# ----------------------------------------------------------------------
-# portraits
-
-
-class Portrait:
-    """Finite truncation of an element: permutations down to a fixed depth.
-
-    Serialization is injective on elements whose depth-m sections are atoms;
-    deeper sections fall back to their canonical keys.
-    """
-
-    __slots__ = ("depth", "perm", "leaf_label", "children")
-
-    def __init__(self, depth, perm, leaf_label, children):
-        self.depth = depth
-        self.perm = perm
-        self.leaf_label = leaf_label
-        self.children = children
-
-    @classmethod
-    def of(cls, element, depth):
-        if depth == 0:
-            if element.label is not None:
-                return cls(0, None, element.label, ())
-            return cls(0, None, "#" + element.key().hex(), ())
-        children = tuple(cls.of(s, depth - 1) for s in element.sections)
-        return cls(depth, element.perm, None, children)
-
-    def serialize(self):
-        if self.depth == 0:
-            return self.leaf_label
-        inner = ",".join(c.serialize() for c in self.children)
-        return f"({''.join(map(str, self.perm))}|{inner})"
-
-    def __repr__(self):
-        return f"<Portrait depth={self.depth} {self.serialize()}>"
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Exact ball enumeration, word growth tables and membership filters.
+"""Exact ball enumeration, word growth tables and level-1 stabiliser counts.
 
 A ball of radius n maps each element to its geodesic length and one geodesic
 word.  Growth counts are deduplicated twice: once through canonical
@@ -11,15 +11,11 @@ from __future__ import annotations
 
 import math
 
-from . import core, words
+from . import core
 
 
 class DedupMismatchError(RuntimeError):
     """The two deduplication paths disagreed; a correctness bug somewhere."""
-
-
-class FilterUnavailableError(RuntimeError):
-    """A membership filter cannot be evaluated yet."""
 
 
 class Ball:
@@ -38,9 +34,6 @@ class Ball:
     def __len__(self):
         return len(self.entries)
 
-    def __contains__(self, element):
-        return element in self.entries
-
     def sorted_items(self):
         """Entries ordered by (length, word); the canonical iteration order."""
         return list(self.entries.items())
@@ -52,12 +45,6 @@ class Ball:
 class GrowthTable:
     def __init__(self, rows):
         self.rows = rows  # (n, gamma)
-
-    def gamma(self, n):
-        for m, g in self.rows:
-            if m == n:
-                return g
-        raise KeyError(n)
 
     def to_csv(self):
         lines = ["n,gamma"]
@@ -144,41 +131,12 @@ def growth_table(preset, n_max):
 
 
 # ----------------------------------------------------------------------
-# membership filters
-
-FILTERS = ("st1", "derived", "k")
+# membership counts
 
 
-def in_level1_stabilizer(element):
-    return element.perm == tuple(range(element.preset.arity))
-
-
-def passes_derived_filter(word):
-    """Sound direction only: a nonzero parity vector rules membership out."""
-    return words.parity_vector(word) == (0, 0, 0)
-
-
-def membership_counts(ball_, filt, k_test=None):
-    """Count ball members passing a filter: "st1", "derived" or "k".
-
-    The K filter needs a membership oracle; without one the branching data
-    for the ball's preset is built on demand, and an unstabilized quotient
-    model surfaces as FilterUnavailableError.
-    """
-    if filt not in FILTERS:
-        raise ValueError(f"unknown filter {filt!r}; expected one of {FILTERS}")
-    if filt == "st1":
-        return sum(1 for e in ball_.entries if in_level1_stabilizer(e))
-    if filt == "derived":
-        return sum(
-            1 for _, (_, w) in ball_.entries.items() if passes_derived_filter(w)
-        )
-    if k_test is None:
-        from . import constructions
-
-        try:
-            data = constructions.branching_data(ball_.preset)
-        except constructions.UnstabilizedError as exc:
-            raise FilterUnavailableError(str(exc)) from exc
-        k_test = data.k_membership
-    return sum(1 for e in ball_.entries if k_test(e))
+def membership_counts(ball_, filt):
+    """Count the ball members in the level-1 stabiliser, the one filter: "st1"."""
+    if filt != "st1":
+        raise ValueError(f"unknown filter {filt!r}; expected 'st1'")
+    fixed = tuple(range(ball_.preset.arity))
+    return sum(1 for e in ball_.entries if e.perm == fixed)

@@ -58,9 +58,6 @@ class Expression:
         self.factors = factors  # a tuple
         self.preset = preset
 
-    def __len__(self):
-        return len(self.factors)
-
     def evaluate(self):
         out = self.preset.identity
         for f in self.factors:

@@ -219,14 +219,13 @@ def _decomposed(target, product, factor, parts):
 # conjugate width
 
 
-def conjugate_width(g, budget=None, preset=None, bases=None):
+def conjugate_width(g, budget=None, bases=None):
     """Express g as at most factor_cap conjugates of generators.
 
     Lookups in the conjugate set handle one and two factors, singles
     against the pair set three, and the pair set against itself four.
     """
-    preset = preset or g.preset
-    budget = budget or SearchBudget()
+    preset, budget = g.preset, budget or SearchBudget()
     return _search(
         g,
         budget,
@@ -241,11 +240,10 @@ def conjugate_width(g, budget=None, preset=None, bases=None):
 # commutator width
 
 
-def commutator_width(g, budget=None, preset=None):
+def commutator_width(g, budget=None):
     """Express g as at most factor_cap (two at most) commutators of B(radius) entries."""
-    preset = preset or g.preset
-    budget = budget or SearchBudget(radius=6, factor_cap=2)
-    if words.parity_vector(_word_of(g, preset)) != (0, 0, 0):
+    preset, budget = g.preset, budget or SearchBudget(radius=6, factor_cap=2)
+    if words.parity_vector(_word_of(g)) != (0, 0, 0):
         return WidthResult(
             INCONCLUSIVE, None, g, "nonzero parity vector rules out membership"
         )
@@ -259,10 +257,10 @@ def commutator_width(g, budget=None, preset=None):
     )
 
 
-def _word_of(g, preset):
+def _word_of(g):
     if g.word is not None:
         return g.word
-    b = enumeration.ball(preset, 8)
+    b = enumeration.ball(g.preset, 8)
     if g in b.entries:
         return b.entries[g][1]
     raise ValueError("element has no known word; pass one explicitly")
@@ -296,7 +294,7 @@ def _palindromic_splits(word):
     return best[n]
 
 
-def palindromic_width(g, budget=None, preset=None, word=None):
+def palindromic_width(g, budget=None, word=None):
     """Express g as at most factor_cap palindromic words.
 
     The element search handles up to two factors; when it finds none or
@@ -304,7 +302,7 @@ def palindromic_width(g, budget=None, preset=None, word=None):
     blocks takes over, which always succeeds and rarely needs more than
     four blocks at desk scale.
     """
-    preset = preset or g.preset
+    preset = g.preset
     for spec in preset.generator_specs:
         if not spec["involution"]:
             raise ValueError("palindromic width needs an all-involution generating set")
@@ -313,7 +311,7 @@ def palindromic_width(g, budget=None, preset=None, word=None):
     found = _search(g, budget, product, factor, lambda: palindrome_set(preset, budget.radius))
     if found.status == DECOMPOSED:
         return found
-    blocks = _palindromic_splits(word or _word_of(g, preset))
+    blocks = _palindromic_splits(word or _word_of(g))
     if len(blocks) <= budget.factor_cap:
         return _decomposed(g, product, factor, blocks)
     return found

@@ -87,25 +87,24 @@ def word_sections(word, preset=None):
     return reduce(parts[0], preset), reduce(parts[1], preset)
 
 
-def enumerate_reduced(n, alphabet=GRIG_ALPHABET):
-    """All syntactically reduced words of length n, lexicographically.
+def enumerate_reduced(n):
+    """All syntactically reduced Grigorchuk words of length n, lexicographically.
 
-    Reduced words strictly alternate between 'a' and the other letters.
+    Reduced words strictly alternate between 'a' and the letters 'bcd'.
     """
     if n < 0:
         raise ValueError("length must be >= 0")
-    stars = [ch for ch in alphabet if ch != "a"]
 
     def extend(prefix, k):
         if k == 0:
             yield prefix
             return
         if prefix and prefix[-1] != "a":
-            nxt = ["a"]
+            nxt = "a"
         elif prefix:
-            nxt = stars
+            nxt = "bcd"
         else:
-            nxt = list(alphabet)
+            nxt = GRIG_ALPHABET
         for ch in nxt:
             yield from extend(prefix + ch, k - 1)
 
@@ -132,8 +131,8 @@ def invert_word(word):
     return word[::-1]
 
 
-def parse_word_expr(text, alphabet=GRIG_ALPHABET):
-    """Expand an expression like "(ab)^2", "[a,b]" or "abab" into a word.
+def parse_word_expr(text):
+    """Expand an expression like "(ab)^2", "[a,b]" or "abab" into a Grigorchuk word.
 
     Supports letters, parenthesized groups, commutator brackets and integer
     powers (negative powers invert, assuming involutive generators).
@@ -171,7 +170,7 @@ def parse_word_expr(text, alphabet=GRIG_ALPHABET):
                 fail("unclosed commutator")
             pos += 1
             inner = invert_word(left) + invert_word(right) + left + right
-        elif ch in alphabet:
+        elif ch in GRIG_ALPHABET:
             inner = ch
             pos += 1
         else:

@@ -271,25 +271,84 @@ def test_internal_error_exits_4(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "lemma, builder", [("comm-k", "comm_k_product"), ("comm-g", "comm_g_decompose")]
+    "lemma, builder",
+    [
+        ("comm-k", "comm_k_product"),
+        ("comm-g", "comm_g_decompose"),
+        ("subwords", "encode_right"),
+        ("palindrome", "palindromic_width"),
+        ("dihedral", "dihedral_width_report"),
+        ("assembly", "encode_pair"),
+        ("recursion", "class_partition"),
+        ("bcw-rewrite", "rewrite_conjugates_to_commutators"),
+    ],
 )
 def test_audit_crash_exits_4_and_failed_verification_exits_1(
     monkeypatch, capsys, lemma, builder
 ):
-    from griglab import constructions
+    from griglab import conjugacy, constructions, width
+
+    module = next(m for m in (constructions, width, conjugacy) if hasattr(m, builder))
 
     def raising(exc):
-        def builder_(*args):
+        def builder_(*args, **kwargs):
             raise exc("boom")
 
         return builder_
 
-    monkeypatch.setattr(constructions, builder, raising(TypeError))
+    monkeypatch.setattr(module, builder, raising(TypeError))
     assert run(["audit", "--lemma", lemma]) == cli.EXIT_INTERNAL
     assert "TypeError: boom" in capsys.readouterr().err
-    monkeypatch.setattr(constructions, builder, raising(AssertionError))
+    monkeypatch.setattr(module, builder, raising(AssertionError))
     assert run(["audit", "--lemma", lemma]) == cli.EXIT_FAILED
     assert json.loads(capsys.readouterr().out)["status"] == "failed"
+
+
+def test_a_failed_lemma_leaves_the_other_lemmas_running(monkeypatch, capsys):
+    from griglab import width
+
+    def failing(*args, **kwargs):
+        raise AssertionError("palindrome-product decomposition failed verification")
+
+    monkeypatch.setattr(width, "palindromic_width", failing)
+    assert run(["audit", "--lemma", "all"]) == cli.EXIT_FAILED
+    reports = {r["lemma"]: r for r in json.loads(capsys.readouterr().out)}
+    assert list(reports) == list(cli._AUDITS)
+    assert reports.pop("palindrome") == {
+        "lemma": "palindrome",
+        "status": "failed",
+        "counts": {},
+        "witnesses": {},
+        "discrepancies": ["palindrome-product decomposition failed verification"],
+    }
+    assert {r["status"] for r in reports.values()} == {"passed"}
+
+
+_FIVE_FACTOR_COMM_K = """
+import sys
+from griglab import cli, constructions
+real = constructions.comm_k_product
+
+def five(*args):
+    expr = real(*args)
+    expr.factors += expr.factors[:1]
+    return expr
+
+constructions.comm_k_product = five
+sys.exit(cli.main(["audit", "--lemma", "comm-k"]))
+"""
+
+
+def test_comm_k_factor_count_is_checked_under_python_O():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _FIVE_FACTOR_COMM_K],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == cli.EXIT_FAILED, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["status"] == "failed" and report["counts"]["verified"] == 0
+    assert report["discrepancies"][0] == "5 factors, expected 4"
 
 
 @pytest.mark.parametrize("flag", ["--out", "--witness-out"])
@@ -310,6 +369,17 @@ def test_unwritable_output_is_rejected_before_any_work(tmp_path):
     )
     assert proc.returncode == 3
     assert proc.stderr.startswith("error: cannot write --out ")
+
+
+def test_out_and_witness_out_naming_one_file_exit_3(tmp_path, capsys):
+    out = tmp_path / "f.csv"
+    argv = ["conjgrowth", "--max-length", "3", "--out", str(out)]
+    assert run(argv + ["--witness-out", str(tmp_path / "." / "f.csv")]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: --out and --witness-out name the same file {out}\n"
+    assert not out.exists()
+    (tmp_path / "link").symlink_to(tmp_path)
+    assert run(argv + ["--witness-out", str(tmp_path / "link" / "f.csv")]) == cli.EXIT_USAGE
+    assert not out.exists()
 
 
 def test_unwritable_out_writes_no_witness_file(tmp_path, capsys):
@@ -400,3 +470,21 @@ def test_exit_freezes_the_heap_instead_of_collecting_it():
         env=env, capture_output=True, text=True, check=True,
     )
     assert proc.stdout.splitlines() == ["code 0", "frozen True"]
+
+
+# Byte-exact outputs of two reference runs; a change that alters them on
+# purpose replaces the files and says why in CHANGES.md.
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_audit_stdout_matches_the_golden_file(capsysbinary):
+    assert run(["audit", "--lemma", "all", "--seed", "0"]) == cli.EXIT_OK
+    assert capsysbinary.readouterr().out == (GOLDEN / "audit_all_seed0.json").read_bytes()
+
+
+def test_conjgrowth_outputs_match_the_golden_files(tmp_path, capsysbinary):
+    witness = tmp_path / "w.json"
+    argv = ["conjgrowth", "--max-length", "10", "--depth", "8", "--radius", "6"]
+    assert run(argv + ["--witness-out", str(witness)]) == cli.EXIT_OK
+    assert capsysbinary.readouterr().out == (GOLDEN / "conjgrowth_10.csv").read_bytes()
+    assert witness.read_bytes() == (GOLDEN / "conjgrowth_10_witness.json").read_bytes()

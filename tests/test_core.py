@@ -9,7 +9,6 @@ from griglab import conjugacy, constructions, core, enumeration, width
 from griglab.core import (
     MixedPresetError,
     NonContractingError,
-    Portrait,
     PresetError,
     canonical_key,
     commutator,
@@ -21,7 +20,6 @@ from griglab.core import (
     level_action,
     load_preset,
     multiply,
-    section,
 )
 
 
@@ -118,13 +116,10 @@ def test_invert_examples(grig):
 
 
 def test_section_examples(grig):
-    assert section(grig.atom("b"), "1") is grig.atom("c")
-    assert section(grig.identity, "0110") is grig.identity
+    assert grig.atom("b").sections[1] is grig.atom("c")
+    assert grig.identity.sections[0].sections[1].sections[1].sections[0] is grig.identity
     acad = evaluate(grig, "acad")
-    assert section(acad, "1") is evaluate(grig, "ab")
-    assert section(acad, "0") is grig.atom("d")
-    with pytest.raises(ValueError):
-        section(grig.atom("b"), "2")
+    assert acad.sections == (grig.atom("d"), evaluate(grig, "ab"))
 
 
 def test_is_identity_examples(grig):
@@ -250,14 +245,6 @@ def test_word_leaf_permutation_matches_level_action(grig):
             )
 
 
-def test_portrait_injective_on_shallow_elements(grig, ball6):
-    seen = {}
-    for e, _ in ball6.sorted_items():
-        s = Portrait.of(e, 4).serialize()
-        assert seen.setdefault(s, e) is e
-    assert Portrait.of(grig.identity, 0).serialize() == "1"
-
-
 def test_interning_is_thread_safe(grig):
     words_pool = ["abab", "acac", "adad", "bcd", "abacad", "dacaba", "badcba"]
 
@@ -347,9 +334,9 @@ def test_derived_data_is_cached_only_in_the_registry():
     constructions.encode_pair("", "ab", fresh)
     budget = width.SearchBudget(radius=1, factor_cap=4)
     # three conjugates at radius 1, so the search builds the pair set too
-    width.conjugate_width(evaluate(fresh, "abacabad"), budget, fresh)
-    width.commutator_width(evaluate(fresh, "abab"), budget, fresh)
-    width.palindromic_width(evaluate(fresh, "abab"), budget, fresh, word="abab")
+    width.conjugate_width(evaluate(fresh, "abacabad"), budget)
+    width.commutator_width(evaluate(fresh, "abab"), budget)
+    width.palindromic_width(evaluate(fresh, "abab"), budget, word="abab")
     assert set(vars(fresh)) == attributes
     assert set(fresh._caches) == {
         "level_quotient",

@@ -95,14 +95,14 @@ def test_one_commutator_stops_at_the_first_hit(grig, monkeypatch):
     # set keeps for it: the first pair in ball order
     for xw, yw in list(expected.values())[1::7]:
         g = core.evaluate(fresh, inv(xw) + inv(yw) + xw + yw)
-        r = commutator_width(g, SearchBudget(radius=3, factor_cap=2), fresh)
+        r = commutator_width(g, SearchBudget(radius=3, factor_cap=2))
         assert r.status == DECOMPOSED and r.factors == 1
         (f,) = r.expression.factors
         assert (f.left, f.right) == (xw, yw)
     assert fresh.cache("commutator_set") == {}  # no partial scan is kept as the set
     monkeypatch.undo()
     # two commutators: the scan runs to the end and is kept as the set
-    r = commutator_width(core.evaluate(fresh, "bacad"), SearchBudget(radius=1, factor_cap=2), fresh)
+    r = commutator_width(core.evaluate(fresh, "bacad"), SearchBudget(radius=1, factor_cap=2))
     assert r.status == DECOMPOSED and r.factors == 2
     assert list(fresh.cache("commutator_set")[1].values()) == list(
         width.commutator_set(grig, 1).values()
