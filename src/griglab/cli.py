@@ -55,16 +55,39 @@ def _preset(config):
         raise UsageError(f"--group {config.group}: {exc}") from exc
 
 
-def _add_common(parser):
-    parser.add_argument("--group", default="grigorchuk")
-    parser.add_argument("--max-length", type=int, default=8)
-    parser.add_argument("--depth", type=int, default=8)
-    parser.add_argument("--radius", type=int, default=6)
-    parser.add_argument("--threads", type=int, default=1, help="accepted; no effect")
-    parser.add_argument("--format", dest="out_format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--budget-seconds", type=float, default=None)
-    parser.add_argument("--out", default=None, help="output file (default stdout)")
+# argparse keywords of every flag; each subcommand adds the ones it reads
+_FLAGS = {
+    "--group": dict(default="grigorchuk"),
+    "--max-length": dict(type=int, default=8),
+    "--depth": dict(type=int, default=8),
+    "--radius": dict(type=int, default=6),
+    "--format": dict(dest="out_format", choices=("csv", "json"), default="csv"),
+    "--seed": dict(type=int, default=0),
+    "--budget-seconds": dict(type=float, default=None),
+    "--witness-out": dict(default=None),
+    "--lemma": dict(default="all"),
+    "--target": dict(required=True),
+    "--mode": dict(choices=("conjugates", "commutators", "palindromes"), default="conjugates"),
+    "--threads": dict(type=int, default=1, help="accepted; no effect"),
+    "--out": dict(default=None, help="output file (default stdout)"),
+}
+
+# subcommand -> (help, the flags it reads besides --group, --threads and --out)
+_COMMANDS = {
+    "growth": ("word growth table", ("--max-length", "--format")),
+    "conjgrowth": (
+        "conjugacy growth bracket table",
+        ("--max-length", "--depth", "--radius", "--format", "--witness-out"),
+    ),
+    "audit": (
+        "run a constructive audit",
+        ("--max-length", "--depth", "--radius", "--seed", "--lemma"),
+    ),
+    "width": (
+        "width search for one target",
+        ("--radius", "--budget-seconds", "--target", "--mode"),
+    ),
+}
 
 
 def _check_writable(path, flag):
@@ -96,17 +119,17 @@ def _emit(text, out_path, flag="--out"):
 # subcommands
 
 
-def cmd_growth(config, out_path):
+def cmd_growth(config):
     preset = _preset(config)
     table = enumeration.growth_table(preset, config.max_length)
     if config.out_format == "json":
-        _emit(json.dumps({"rows": table.rows}, sort_keys=True) + "\n", out_path)
+        _emit(json.dumps({"rows": table.rows}, sort_keys=True) + "\n", config.out)
     else:
-        _emit(table.to_csv(), out_path)
+        _emit(table.to_csv(), config.out)
     return EXIT_OK
 
 
-def cmd_conjgrowth(config, out_path, witness_path=None):
+def cmd_conjgrowth(config):
     from . import conjugacy
 
     preset = _preset(config)
@@ -118,35 +141,35 @@ def cmd_conjgrowth(config, out_path, witness_path=None):
     part = conjugacy.class_partition(
         ball_, config.depth, config.radius, escalate_to=config.radius + 2
     )
-    if witness_path:
-        _emit(part.witness_json(), witness_path, "--witness-out")
+    if config.witness_out:
+        _emit(part.witness_json(), config.witness_out, "--witness-out")
     if config.out_format == "json":
         payload = [vars(r) for r in part.rows()]
-        _emit(json.dumps(payload, sort_keys=True) + "\n", out_path)
+        _emit(json.dumps(payload, sort_keys=True) + "\n", config.out)
     else:
-        _emit(conjugacy.conj_rows_to_csv(part.rows()), out_path)
+        _emit(conjugacy.conj_rows_to_csv(part.rows()), config.out)
     return EXIT_OK
 
 
-def cmd_width(config, target_expr, mode, out_path):
+def cmd_width(config):
     from . import width
 
     if config.group != "grigorchuk":
         raise UsageError("width targets are words of the built-in grigorchuk preset only")
     preset = _preset(config)
     try:
-        word = words.parse_word_expr(target_expr)
+        word = words.parse_word_expr(config.target)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     target = core.evaluate(preset, word)
     budget = width.SearchBudget(
         radius=config.radius,
-        factor_cap={"conjugates": 4, "commutators": 2, "palindromes": 5}[mode],
+        factor_cap={"conjugates": 4, "commutators": 2, "palindromes": 5}[config.mode],
         time_limit=config.budget_seconds,
     )
-    if mode == "conjugates":
+    if config.mode == "conjugates":
         result = width.conjugate_width(target, budget)
-    elif mode == "commutators":
+    elif config.mode == "commutators":
         result = width.commutator_width(target, budget)
     else:
         result = width.palindromic_width(target, budget, word=word)
@@ -156,12 +179,23 @@ def cmd_width(config, target_expr, mode, out_path):
         "length,element,status,factors,witness",
         f"{len(word)},{word},{result.status},{factors},{witness}",
     ]
-    _emit("\n".join(lines) + "\n", out_path)
+    _emit("\n".join(lines) + "\n", config.out)
     return EXIT_OK if result.status == width.DECOMPOSED else EXIT_INCONCLUSIVE
 
 
 # ----------------------------------------------------------------------
 # audits
+
+
+def _report(lemma, failed, counts, discrepancies=(), witnesses=()):
+    """One lemma's audit report, as the JSON that cmd_audit prints."""
+    return {
+        "lemma": lemma,
+        "status": "failed" if failed else "passed",
+        "counts": counts,
+        "witnesses": dict(witnesses),
+        "discrepancies": list(discrepancies),
+    }
 
 
 def _audit_subwords(config, preset, rng):
@@ -178,26 +212,26 @@ def _audit_subwords(config, preset, rng):
         min(config.max_length, 8), preset
     )
     one_ab = constructions.encode_pair("", "ab", preset)
-    report = {
-        "lemma": "subwords",
-        "status": "failed" if failures or not coverage.consistent() else "passed",
-        "counts": {
+    witnesses = {"pair_1_ab": {"status": one_ab.status, "word": one_ab.word}}
+    if failures:
+        witnesses["encode_right_failures"] = failures
+    report = _report(
+        "subwords",
+        failures or not coverage.consistent(),
+        {
             "encode_right_checked": sum(words.count_reduced(n) for n in range(7)),
             "coverage_reachable": coverage.reachable,
             "coverage_unreachable": coverage.unreachable,
             "coverage_unknown": coverage.unknown,
             "coverage_total": coverage.total,
         },
-        "witnesses": {"pair_1_ab": {"status": one_ab.status, "word": one_ab.word}},
-        "discrepancies": [
+        [
             {"pair": [w0, w1], "cost": cost, "word": word}
             for w0, w1, cost, word in coverage.beyond_bound
         ],
-    }
-    if failures:
-        report["witnesses"]["encode_right_failures"] = failures
-    inconclusive = coverage.unknown > 0
-    return report, inconclusive
+        witnesses,
+    )
+    return report, coverage.unknown > 0
 
 
 def _audit_comm_k(config, preset, rng):
@@ -218,14 +252,8 @@ def _audit_comm_k(config, preset, rng):
             ok += 1
         else:
             failures.append(f"{len(expr.factors)} factors, expected 4")
-    report = {
-        "lemma": "comm-k",
-        "status": "passed" if ok == 100 else "failed",
-        "counts": {"verified": ok, "sampled": 100, "k_ball_members": len(members)},
-        "witnesses": {},
-        "discrepancies": failures,
-    }
-    return report, False
+    counts = {"verified": ok, "sampled": 100, "k_ball_members": len(members)}
+    return _report("comm-k", ok != 100, counts, failures), False
 
 
 def _audit_comm_g(config, preset, rng):
@@ -246,21 +274,15 @@ def _audit_comm_g(config, preset, rng):
                 failures.append({"pair": [gw, xw], "factors": len(expr.factors)})
         except (AssertionError, constructions.LiftUnavailableError) as exc:
             failures.append({"pair": [gw, xw], "error": str(exc)})
-    report = {
-        "lemma": "comm-g",
-        "status": "failed" if failures else "passed",
-        "counts": {
-            "sampled": 50,
-            "max_factors": worst,
-            "bound": bound,
-            # the longest K x K coset representative in B(H1_RADIUS), not a
-            # K-coset one; the key keeps its old name so stdout stays the same
-            "coset_rep_max": data.h1_rep_max,
-        },
-        "witnesses": {},
-        "discrepancies": failures,
+    counts = {
+        "sampled": 50,
+        "max_factors": worst,
+        "bound": bound,
+        # the longest K x K coset representative in B(H1_RADIUS), not a
+        # K-coset one; the key keeps its old name so stdout stays the same
+        "coset_rep_max": data.h1_rep_max,
     }
-    return report, False
+    return _report("comm-g", failures, counts, failures), False
 
 
 def _audit_bcw_rewrite(config, preset, rng):
@@ -284,13 +306,13 @@ def _audit_bcw_rewrite(config, preset, rng):
             failures.append({"error": str(exc)})
     samples = [(rng.choice(conj_pool), rng.choice(conj_pool)) for _ in range(50)]
     identity_failures = width.conjugate_identity_audit(preset, samples)
-    report = {
-        "lemma": "bcw-rewrite",
-        "status": "failed" if failures or identity_failures else "passed",
-        "counts": {"rewrites": 100, "identity_samples": 50},
-        "witnesses": {"axay_identity": "confirmed" if not identity_failures else "violated"},
-        "discrepancies": failures + [list(p) for p in identity_failures],
-    }
+    report = _report(
+        "bcw-rewrite",
+        failures or identity_failures,
+        {"rewrites": 100, "identity_samples": 50},
+        failures + [list(p) for p in identity_failures],
+        {"axay_identity": "violated" if identity_failures else "confirmed"},
+    )
     return report, False
 
 
@@ -307,19 +329,17 @@ def _audit_palindrome(config, preset, rng):
             decomposed += 1
         else:
             inconclusive += 1
-    total = len(ball_.entries)
-    report = {
-        "lemma": "palindrome",
-        "status": "failed" if violations or decomposed < 0.95 * total else "passed",
-        "counts": {
+    report = _report(
+        "palindrome",
+        violations or decomposed < 0.95 * len(ball_.entries),
+        {
             "palindromes_checked": checked,
             "violations": len(violations),
             "ball6_decomposed": decomposed,
             "ball6_inconclusive": inconclusive,
         },
-        "witnesses": {},
-        "discrepancies": [list(v) for v in violations],
-    }
+        [list(v) for v in violations],
+    )
     return report, inconclusive > 0
 
 
@@ -327,14 +347,8 @@ def _audit_dihedral(config, preset, rng):
     from . import width
 
     rows, worst = width.dihedral_width_report(20)
-    report = {
-        "lemma": "dihedral",
-        "status": "passed" if worst <= 2 else "failed",
-        "counts": {"elements": len(rows), "max_conjugates": worst},
-        "witnesses": {},
-        "discrepancies": [],
-    }
-    return report, False
+    counts = {"elements": len(rows), "max_conjugates": worst}
+    return _report("dihedral", worst > 2, counts), False
 
 
 def _audit_recursion(config, preset, rng):
@@ -353,39 +367,28 @@ def _audit_recursion(config, preset, rng):
         escalate_to=config.radius + 2,
     )
     rep = bounds.grig_recursion_audit(f_rows, T)
-    report = {
-        "lemma": "recursion",
-        "status": "passed" if rep.all_hold else "failed",
-        "counts": {
-            "T": T,
-            "rows": [
-                {"n": r.n, "f_n": r.f_n, "f_4n": r.f_4n, "rhs": r.rhs, "holds": r.holds}
-                for r in rep.rows
-            ],
-        },
-        "witnesses": {},
-        "discrepancies": [{"skipped_nonexact": rep.skipped}] if rep.skipped else [],
-    }
-    return report, bool(rep.skipped)
+    rows = [
+        {"n": r.n, "f_n": r.f_n, "f_4n": r.f_4n, "rhs": r.rhs, "holds": r.holds}
+        for r in rep.rows
+    ]
+    skipped = [{"skipped_nonexact": rep.skipped}] if rep.skipped else []
+    return _report("recursion", not rep.all_hold, {"T": T, "rows": rows}, skipped), bool(skipped)
 
 
 def _audit_assembly(config, preset, rng):
     from . import bounds, constructions
 
     rep = bounds.assembly_audit(min(config.max_length, 2), preset)
-    report = {
-        "lemma": "assembly",
-        "status": "passed" if rep.separated and rep.swap_merged else "failed",
-        "counts": {
+    report = _report(
+        "assembly",
+        not (rep.separated and rep.swap_merged),
+        {
             "pairs_total": rep.pairs_total,
             "assembled": rep.assembled,
             "skipped": len(rep.skipped_unreachable),
         },
-        "witnesses": {},
-        "discrepancies": [
-            {"pair": list(p), "status": s} for p, s in rep.skipped_unreachable
-        ],
-    }
+        [{"pair": list(p), "status": s} for p, s in rep.skipped_unreachable],
+    )
     inconclusive = any(
         s == constructions.INCONCLUSIVE for _, s in rep.skipped_unreachable
     )
@@ -404,7 +407,8 @@ _AUDITS = {
 }
 
 
-def cmd_audit(config, lemma, out_path):
+def cmd_audit(config):
+    lemma = config.lemma
     if lemma != "all" and lemma not in _AUDITS:
         raise UsageError(
             f"unknown lemma {lemma!r}; expected one of {', '.join(_AUDITS)} or all"
@@ -421,18 +425,12 @@ def cmd_audit(config, lemma, out_path):
         try:
             report, inconclusive = _AUDITS[name](config, preset, rng)
         except AssertionError as exc:  # a builder's output failed verification
-            report, inconclusive = {
-                "lemma": name,
-                "status": "failed",
-                "counts": {},
-                "witnesses": {},
-                "discrepancies": [str(exc)],
-            }, False
+            report, inconclusive = _report(name, True, {}, [str(exc)]), False
         reports.append(report)
         any_failed |= report["status"] == "failed"
         any_inconclusive |= inconclusive
     payload = reports[0] if len(reports) == 1 else reports
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out_path)
+    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", config.out)
     if any_failed:
         return EXIT_FAILED
     if any_inconclusive:
@@ -446,24 +444,10 @@ def cmd_audit(config, lemma, out_path):
 def build_parser():
     parser = _Parser(prog="griglab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("growth", parents=[], help="word growth table")
-    _add_common(p)
-
-    p = sub.add_parser("conjgrowth", help="conjugacy growth bracket table")
-    _add_common(p)
-    p.add_argument("--witness-out", default=None)
-
-    p = sub.add_parser("audit", help="run a constructive audit")
-    _add_common(p)
-    p.add_argument("--lemma", default="all")
-
-    p = sub.add_parser("width", help="width search for one target")
-    _add_common(p)
-    p.add_argument("--target", required=True)
-    p.add_argument(
-        "--mode", choices=("conjugates", "commutators", "palindromes"), default="conjugates"
-    )
+    for command, (help_, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_)
+        for flag in ("--group", *flags, "--threads", "--out"):
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -474,7 +458,7 @@ def main(argv=None):
         args = build_parser().parse_args(argv)
         minima = {"max_length": 0, "depth": 0, "radius": 0, "threads": 1, "budget_seconds": 0}
         for name, least in minima.items():
-            value = getattr(args, name)
+            value = getattr(args, name, None)
             if value is not None and not value >= least:  # NaN fails too
                 raise UsageError(f"--{name.replace('_', '-')} must be at least {least}")
         out, witness = args.out, getattr(args, "witness_out", None)
@@ -483,15 +467,7 @@ def main(argv=None):
                 _check_writable(path, flag)
         if out and witness and os.path.realpath(out) == os.path.realpath(witness):
             raise UsageError(f"--out and --witness-out name the same file {out}")
-        if args.command == "growth":
-            return cmd_growth(args, args.out)
-        if args.command == "conjgrowth":
-            return cmd_conjgrowth(args, args.out, args.witness_out)
-        if args.command == "audit":
-            return cmd_audit(args, args.lemma, args.out)
-        if args.command == "width":
-            return cmd_width(args, args.target, args.mode, args.out)
-        raise UsageError(f"unknown command {args.command!r}")
+        return globals()[f"cmd_{args.command}"](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -185,19 +185,16 @@ class GroupPreset:
             atom.sections = tuple(self.atoms[s] for s in spec["sections"])
             atom.word = spec["label"]
 
-        # formal inverse atoms for non-involutive generators; their sections
-        # are inverses of generator sections, so the extended set is closed.
-        # A generator whose inverse is itself a declared generator reuses it
-        # instead of growing the atom set.
+        # formal inverse atoms for generators with no inverse among the
+        # generators; their sections are inverses of generator sections, so
+        # the extended set is closed.  A generator whose inverse is a
+        # generator, itself included, reuses it instead of growing the atom
+        # set.  Only certified pairs enter _inverse_atom, and the identity
+        # check free-reduces by nothing else, so no declared involution flag
+        # is trusted here; _startup_checks holds the flags to these pairs.
         self._inverse_atom = {self.identity: self.identity}
-        for spec in self.generator_specs:
-            if spec["involution"]:
-                atom = self.atoms[spec["label"]]
-                self._inverse_atom[atom] = atom
         inv_labels = {}
         for spec in self.generator_specs:
-            if spec["involution"]:
-                continue
             atom = self.atoms[spec["label"]]
             if atom in self._inverse_atom:
                 continue
@@ -205,7 +202,11 @@ class GroupPreset:
             declared = None
             for other_spec in self.generator_specs:
                 other = self.atoms[other_spec["label"]]
-                if other.perm == pinv and self.word_acts_trivially((atom, other)):
+                if (
+                    other.perm == pinv
+                    and other not in self._inverse_atom
+                    and self.word_acts_trivially((atom, other))
+                ):
                     declared = other
                     break
             if declared is not None:
@@ -311,7 +312,7 @@ class GroupPreset:
     def _startup_checks(self):
         for spec in self.generator_specs:
             atom = self.atoms[spec["label"]]
-            if spec["involution"] and not self.word_acts_trivially((atom, atom)):
+            if spec["involution"] and self._inverse_atom[atom] is not atom:
                 raise PresetError(
                     f"generator {spec['label']!r}: declared involution but square is nontrivial"
                 )

@@ -91,6 +91,10 @@ def ball(preset, n, threads=1):
     return Ball(preset, n, entries)
 
 
+# the growth cross-check deepens only to levels with fewer leaves than this
+MAX_CHECK_LEAVES = 4096
+
+
 def default_action_depth(n):
     """Depth used by the second deduplication path for radius-n balls."""
     return max(1, math.ceil(math.log2(max(n, 2)))) + 2
@@ -116,13 +120,25 @@ def growth_table(preset, n_max):
     """Growth function rows (n, gamma(n)) for n <= n_max.
 
     The canonical-key counts of the ball must coincide with the independent
-    leaf-permutation counts at default_action_depth(n_max); any disagreement
-    raises DedupMismatchError.
+    leaf-permutation counts, which start at default_action_depth(n_max).
+    Distinct level actions are distinct elements, so a level count above a
+    canonical one is a fault; one below it may only mean the level is too
+    shallow, so the check deepens one level at a time while every level
+    count is at most the canonical one and the level has fewer than
+    MAX_CHECK_LEAVES leaves.  A disagreement that remains raises
+    DedupMismatchError.
     """
     ball_ = ball(preset, n_max)
     rows = [(n, ball_.count_within(n)) for n in range(n_max + 1)]
     depth = default_action_depth(n_max)
     other = independent_gamma(preset, n_max, depth)
+    while (
+        other != rows
+        and all(level <= canon for (_, canon), (_, level) in zip(rows, other))
+        and preset.arity ** (depth + 1) < MAX_CHECK_LEAVES
+    ):
+        depth += 1
+        other = independent_gamma(preset, n_max, depth)
     if other != rows:
         raise DedupMismatchError(
             f"canonical dedup {rows} != level-action dedup {other} at depth {depth}"

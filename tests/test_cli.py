@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -204,19 +205,36 @@ def test_bad_flag_value_exits_3():
     assert run(["growth", "--threads", "0"]) == 3
 
 
+_WIDTH = ["width", "--target", "a"]
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [
-        (["--max-length", "-1"], "--max-length must be at least 0"),
-        (["--radius", "-2"], "--radius must be at least 0"),
-        (["--threads", "0"], "--threads must be at least 1"),
-        (["--budget-seconds", "-1"], "--budget-seconds must be at least 0"),
-        (["--budget-seconds", "nan"], "--budget-seconds must be at least 0"),
+        (["growth", "--max-length", "-1"], "--max-length must be at least 0"),
+        (_WIDTH + ["--radius", "-2"], "--radius must be at least 0"),
+        (_WIDTH + ["--threads", "0"], "--threads must be at least 1"),
+        (_WIDTH + ["--budget-seconds", "-1"], "--budget-seconds must be at least 0"),
+        (_WIDTH + ["--budget-seconds", "nan"], "--budget-seconds must be at least 0"),
     ],
 )
 def test_flag_below_its_minimum_exits_3(flags, message, capsys):
-    assert run(["width", "--target", "a"] + flags) == 3
+    assert run(flags) == 3
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["growth", "--seed", "1"], "--seed"),
+        (["conjgrowth", "--budget-seconds", "1"], "--budget-seconds"),
+        (["audit", "--format", "json"], "--format"),
+        (_WIDTH + ["--max-length", "3"], "--max-length"),
+    ],
+)
+def test_a_flag_the_subcommand_does_not_read_exits_3(argv, flag, capsys):
+    assert run(argv) == 3
+    assert capsys.readouterr().err.startswith(f"error: unrecognized arguments: {flag}")
 
 
 def test_zero_max_length_is_accepted(tmp_path):
@@ -261,7 +279,7 @@ def test_unloadable_preset_exits_3(tmp_path, capsys):
 
 
 def test_internal_error_exits_4(monkeypatch, capsys):
-    def crash(config, out_path):
+    def crash(config):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(cli, "cmd_growth", crash)
@@ -472,7 +490,7 @@ def test_exit_freezes_the_heap_instead_of_collecting_it():
     assert proc.stdout.splitlines() == ["code 0", "frozen True"]
 
 
-# Byte-exact outputs of two reference runs; a change that alters them on
+# Byte-exact outputs of reference runs; a change that alters them on
 # purpose replaces the files and says why in CHANGES.md.
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -488,3 +506,103 @@ def test_conjgrowth_outputs_match_the_golden_files(tmp_path, capsysbinary):
     assert run(argv + ["--witness-out", str(witness)]) == cli.EXIT_OK
     assert capsysbinary.readouterr().out == (GOLDEN / "conjgrowth_10.csv").read_bytes()
     assert witness.read_bytes() == (GOLDEN / "conjgrowth_10_witness.json").read_bytes()
+
+
+# stdout file -> the run that prints it; a run whose stdout file has a
+# "_witness.json" companion also writes and compares its witness file
+GOLDEN_RUNS = {
+    "growth_14.csv": ["growth", "--max-length", "14"],
+    "growth_gupta_sidki_3_9.csv": ["growth", "--group", "gupta-sidki-3", "--max-length", "9"],
+    "conjgrowth_12.csv": ["conjgrowth", "--max-length", "12", "--depth", "8", "--radius", "6"],
+    "conjgrowth_gupta_sidki_3_9.csv": [
+        "conjgrowth", "--group", "gupta-sidki-3", "--max-length", "9"
+    ],
+    "width_commutators_ab.csv": [
+        "width", "--target", "[a,b]", "--mode", "commutators", "--radius", "10"
+    ],
+    "width_conjugates_abacabadabacabad.csv": [
+        "width", "--target", "abacabadabacabad", "--mode", "conjugates", "--radius", "8"
+    ],
+    "width_palindromes_abacabadabacabad.csv": [
+        "width", "--target", "abacabadabacabad", "--mode", "palindromes", "--radius", "8"
+    ],
+    "audit_all_seed5.json": ["audit", "--lemma", "all", "--seed", "5"],
+    "audit_all_seed7.json": ["audit", "--lemma", "all", "--seed", "7"],
+}
+
+
+@pytest.mark.parametrize("stdout, argv", GOLDEN_RUNS.items(), ids=list(GOLDEN_RUNS))
+def test_outputs_match_the_golden_files(stdout, argv, tmp_path, capsysbinary):
+    witness = GOLDEN / f"{Path(stdout).stem}_witness.json"
+    witness_out = tmp_path / "w.json"
+    if witness.exists():
+        argv = argv + ["--witness-out", str(witness_out)]
+    assert run(argv) == cli.EXIT_OK
+    assert capsysbinary.readouterr().out == (GOLDEN / stdout).read_bytes()
+    if witness.exists():
+        assert witness_out.read_bytes() == witness.read_bytes()
+
+
+def _write_preset(path, arity, generators):
+    path.write_text(json.dumps(
+        {"schema": "asg-1", "name": path.stem, "arity": arity, "generators": generators}
+    ))
+    return str(path)
+
+
+def test_a_false_involution_flag_is_rejected(tmp_path, capsys):
+    # the binary adding machine s = σ(s, 1) generates Z; its square moves the
+    # leaves of level 2, so a check that trusts the flag counts the group Z/2
+    spec = {"label": "s", "involution": True, "perm": [1, 0], "sections": ["s", "1"]}
+    group = _write_preset(tmp_path / "adding-machine.json", 2, [spec])
+    for command in ("growth", "conjgrowth"):
+        assert run([command, "--group", group, "--max-length", "5"]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: --group {group}: generator 's': declared involution but square is"
+            " nontrivial\n"
+        )
+
+
+def test_growth_cross_check_deepens_past_a_level_too_shallow(tmp_path, capsys):
+    # level 5 tells apart only 212 of the 215 elements of B(6); level 6 all
+    gens = [
+        {"label": "a", "involution": False, "perm": [0, 1], "sections": ["c", "c"]},
+        {"label": "b", "involution": True, "perm": [0, 1], "sections": ["a", "1"]},
+        {"label": "c", "involution": False, "perm": [1, 0], "sections": ["1", "1"]},
+        {"label": "d", "involution": True, "perm": [0, 1], "sections": ["b", "d"]},
+    ]
+    group = _write_preset(tmp_path / "deep.json", 2, gens)
+    preset = core.load_preset(group)
+    depth = enumeration.default_action_depth(6)
+    assert enumeration.independent_gamma(preset, 6, depth)[-1] == (6, 212)
+    assert run(["growth", "--group", group, "--max-length", "6"]) == cli.EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1] == "6,215"
+
+
+def _random_preset(rng):
+    arity = rng.randint(2, 5)
+    labels = "abcd"[: rng.randint(1, 4)]
+    gens = []
+    for label in labels:
+        if rng.random() < 0.6:
+            shift = rng.randrange(1, arity)
+            perm = [(i + shift) % arity for i in range(arity)]
+        else:
+            perm = rng.sample(range(arity), arity)
+        sections = [rng.choice(labels + "1") for _ in range(arity)]
+        gens.append(
+            {"label": label, "involution": rng.random() < 0.5, "perm": perm, "sections": sections}
+        )
+    return arity, gens
+
+
+def test_random_presets_work_or_are_rejected_up_front(tmp_path, capsys):
+    # exit 0 from growth means the two dedup paths agreed; exit 4 would be a
+    # crash or a disagreement
+    rng = random.Random(2)
+    for i in range(60):
+        group = _write_preset(tmp_path / f"fuzz{i}.json", *_random_preset(rng))
+        for argv in (["growth", "--max-length", "6"], ["conjgrowth", "--max-length", "5"]):
+            code = run(argv + ["--group", group])
+            err = capsys.readouterr().err
+            assert code in (0, 2, 3) and "Traceback" not in err, (argv, Path(group).read_text())

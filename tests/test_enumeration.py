@@ -137,8 +137,27 @@ def test_growth_gupta_sidki_3_cross_check_above_the_bytes_limit():
     assert rows == [1, 4, 9, 19, 35, 65, 117, 209, 373, 661]
 
 
-def test_cross_check_rejects_a_shallow_quotient(grig, monkeypatch):
+def test_cross_check_deepens_past_a_shallow_quotient(grig, ball6, monkeypatch):
     # level 1 sees only the root swap, so its quotient ball stops at 2
     monkeypatch.setattr(enumeration, "default_action_depth", lambda n: 1)
+    assert growth_table(grig, 6).rows == [(n, ball6.count_within(n)) for n in range(7)]
+
+
+@pytest.mark.parametrize(
+    "shift, depths",
+    # a level count above the canonical one is a fault at once; one below it
+    # is a fault once the level reaches enumeration.MAX_CHECK_LEAVES leaves
+    [(1, [5]), (-1, [5, 6, 7, 8, 9, 10, 11])],
+)
+def test_cross_check_rejects_real_faults(grig, monkeypatch, shift, depths):
+    true = enumeration.independent_gamma(grig, 6, 5)
+    checked = []
+
+    def faulty(preset, n_max, depth):
+        checked.append(depth)
+        return true[:-1] + [(6, true[-1][1] + shift)]
+
+    monkeypatch.setattr(enumeration, "independent_gamma", faulty)
     with pytest.raises(DedupMismatchError):
         growth_table(grig, 6)
+    assert checked == depths
