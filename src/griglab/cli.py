@@ -138,6 +138,9 @@ def cmd_conjgrowth(config):
     except core.PresetError as exc:
         raise UsageError(f"--group {config.group}: {exc}") from exc
     ball_ = enumeration.ball(preset, config.max_length)
+    enumeration.cross_check(
+        preset, [(n, ball_.count_within(n)) for n in range(config.max_length + 1)]
+    )
     part = conjugacy.class_partition(
         ball_, config.depth, config.radius, escalate_to=config.radius + 2
     )

@@ -73,11 +73,23 @@ def bucket_level(preset):
     Orders are read off the layered bases, so no quotient is enumerated,
     and a preset with no layered basis raises core.PresetError.  Once
     G_m = G_(m+1), every later quotient is G_m too, so the search stops.
+    G_(m+1) is no smaller than the orbit of a leaf of level m+1, so a
+    level whose leaf orbit is over the cap stops the search before its
+    basis is built.
     """
     m, basis = 0, core.layered_basis
-    while BUCKET_ORDER_CAP >= basis(preset, m + 1).order() > basis(preset, m).order():
+    while (
+        _leaf_orbit_size(preset, m + 1) <= BUCKET_ORDER_CAP
+        and BUCKET_ORDER_CAP >= basis(preset, m + 1).order() > basis(preset, m).order()
+    ):
         m += 1
     return m
+
+
+def _leaf_orbit_size(preset, m):
+    """The size of the orbit of leaf 0 of level m under the generators."""
+    moves = [g.__getitem__ for g in core.generator_actions(preset, m)]
+    return len(core.closure([0], moves)[0])
 
 
 def quotient_class_table(preset, m):
@@ -261,7 +273,8 @@ def conjugator_search(x, y, radius):
     element and one half-radius, so they are kept in the preset's
     `conjugator_tables` cache and reused by every later search with that
     element on the same side; so are the words of the half ball
-    B(ceil(R/2)) they are built from, once per half-radius.
+    B(ceil(R/2)) they are built from, once per half-radius, read off
+    `enumeration.spheres` without interning the ball's elements.
     """
     core._check_same_preset(x, y)
     preset = x.preset
@@ -274,7 +287,7 @@ def conjugator_search(x, y, radius):
         words = tables.get(("ball", r1))
         if words is None:
             words = tables[("ball", r1)] = [
-                word for _, (_, word) in enumeration.ball(preset, r1).sorted_items()
+                word for sphere in enumeration.spheres(preset, r1) for _, word in sphere
             ]
         if left is None:
             left = tables[("left", x, r1)] = {}

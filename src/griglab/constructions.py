@@ -77,7 +77,8 @@ class BranchingData:
     sifts against K's layered basis at that level, and coset identity is
     read off the level-`level` quotient.  The lift map sends u to a verified
     element with sections (u, identity), and `h1_reps` keeps the first
-    element of B(H1_RADIUS) in each K x K coset.
+    element of B(H1_RADIUS) in each K x K coset; only those elements are
+    interned.
     """
 
     def __init__(self, preset, level, index, k_basis, coset_table):
@@ -103,7 +104,11 @@ class BranchingData:
         Two elements lie in the same coset exactly when their root
         permutations agree and corresponding sections share K-cosets.
         """
-        return (x.perm, self.coset_id(x.sections[0]), self.coset_id(x.sections[1]))
+        return self.shape_h1_key(x.perm, x.sections)
+
+    def shape_h1_key(self, perm, sections):
+        """`h1_key` of the element with this shape, which need not be interned."""
+        return (perm, self.coset_id(sections[0]), self.coset_id(sections[1]))
 
     def h1_rep(self, x):
         """Shortest known (element, word) in the same K x K coset, or None."""
@@ -173,8 +178,11 @@ def branching_data(preset):
             raise AssertionError(f"lift table entry for {u!r} failed verification")
         data.lift_map[u] = (e, word)
 
-    for e, (_, word) in enumeration.ball(preset, H1_RADIUS).sorted_items():
-        data.h1_reps.setdefault(data.h1_key(e), (e, word))
+    for sphere in enumeration.spheres(preset, H1_RADIUS):
+        for shape, word in sphere:
+            key = data.shape_h1_key(*shape)
+            if key not in data.h1_reps:
+                data.h1_reps[key] = (preset.make_element(*shape), word)
     data.h1_rep_max = max((len(w) for _, w in data.h1_reps.values()), default=0)
 
     cache[K_WORD] = data
@@ -259,15 +267,17 @@ class PairEncodeResult:
 def _section_pair_map(preset, radius):
     """Minimum-cost word per section pair over the stabilizer ball.
 
-    Scans every element of B(radius) in the level-1 stabilizer once; the
-    map is cached at the largest radius scanned so far.
+    Scans the shape of every element of B(radius) in the level-1
+    stabilizer once, interning none of them; the map is cached at the
+    largest radius scanned so far.
     """
     cache = preset.cache("section_pair_map")
     if cache.get("radius", -1) < radius:
         pair_map = {}
-        for e, (ln, word) in enumeration.ball(preset, radius).sorted_items():
-            if e.perm == (0, 1):
-                pair_map.setdefault((e.sections[0], e.sections[1]), (ln, word))
+        for ln, sphere in enumerate(enumeration.spheres(preset, radius)):
+            for (perm, sections), word in sphere:
+                if perm == (0, 1):
+                    pair_map.setdefault(sections, (ln, word))
         cache["map"], cache["radius"] = pair_map, radius
     return cache["map"]
 

@@ -1,10 +1,12 @@
 """Exact ball enumeration, word growth tables and level-1 stabiliser counts.
 
 A ball of radius n maps each element to its geodesic length and one geodesic
-word.  Growth counts are deduplicated twice: once through canonical
-interning (object identity) and once as the image of the ball in a level
-quotient, built from leaf permutations of the raw generator table, and the
-two counts must agree.
+word.  Its one breadth-first walk, `spheres`, deduplicates on the intern key
+(permutation, interned sections) and interns nothing itself, so readers
+that need only counts, words or sections intern nothing at the top level.
+Growth counts are deduplicated twice: once on that key and once as the
+image of the ball in a level quotient, built from leaf permutations of the
+raw generator table, and the two counts must agree.
 """
 
 from __future__ import annotations
@@ -52,42 +54,70 @@ class GrowthTable:
         return "\n".join(lines) + "\n"
 
 
-def ball(preset, n, threads=1):
-    """Deduplicated ball of radius n with geodesic words.
+def spheres(preset, n):
+    """The spheres S(0), ..., S(n) of the Cayley graph, breadth-first.
 
-    Breadth-first, one sphere at a time: a new element keeps the least of
+    Yields each sphere as a list of ((perm, sections), word) sorted by
+    word: the shape of an element, its wreath recursion, and the least of
     its words that extend a word of the previous sphere by one generator,
-    so the content is a pure function of (preset, n).  An extension whose
-    last two letters form a certified pair rule is not multiplied: it
-    equals a word at most as long, already in the ball.  `threads` must be
-    at least 1 and has no effect; the ball is always built serially.
+    so the content is a pure function of (preset, n).  x*g is one wreath
+    step on x's shape, with sections multiplied by the product kernel; the
+    sections are interned, so the shape is the element's intern key and
+    deduplication on shapes is deduplication in the group.  Nothing at the
+    top level is interned or memoised: a caller interns with
+    `preset.make_element(*shape)` only the elements it keeps.  An extension
+    whose last two letters form a certified pair rule is skipped: it equals
+    a word at most as long, already met.
     """
     if n < 0:
         raise ValueError("radius must be >= 0")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    entries = {preset.identity: (0, "")}
-    frontier = [(preset.identity, "")]
+    one, mul, perms = preset.identity, preset._mul, preset._perms
     gens = [(label, preset.atoms[label]) for label in preset.gen_labels]
     rules = preset.pair_rules
-    for level in range(1, n + 1):
+    composed = {}  # (x perm, g perm) -> the preset's tuple for their composition
+    sphere = [((one.perm, one.sections), "")]
+    yield sphere
+    seen = {sphere[0][0]}
+    for _ in range(n):
         candidates = {}
-        for elem, word in frontier:
+        for (perm, sections), word in sphere:
             last = word[-1:]
+            get = sections.__getitem__
             for label, g in gens:
                 if last + label in rules:
                     continue
-                ne = core.multiply(elem, g)
-                if ne in entries:
+                gp = g.perm
+                p = composed.get((perm, gp))
+                if p is None:
+                    p = core.compose(perm, gp)
+                    p = composed[perm, gp] = perms.setdefault(p, p)
+                # map, not a comprehension: no frame per product
+                shape = (p, tuple(map(mul, map(get, gp), g.sections)))
+                if shape in seen:
                     continue
                 nw = word + label
-                cur = candidates.get(ne)
+                cur = candidates.get(shape)
                 if cur is None or nw < cur:
-                    candidates[ne] = nw
-        fresh = sorted(candidates.items(), key=lambda kv: kv[1])
-        for elem, word in fresh:
-            entries[elem] = (level, word)
-        frontier = fresh
+                    candidates[shape] = nw
+        sphere = sorted(candidates.items(), key=lambda kv: kv[1])
+        yield sphere
+        seen.update(candidates)
+
+
+def ball(preset, n, threads=1):
+    """Deduplicated ball of radius n with geodesic words.
+
+    The elements of `spheres(preset, n)`, interned, each with its sphere
+    index and word.  `threads` must be at least 1 and has no effect; the
+    ball is always built serially.
+    """
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+    make = preset.make_element
+    entries = {}
+    for level, sphere in enumerate(spheres(preset, n)):
+        for shape, word in sphere:
+            entries[make(*shape)] = (level, word)
     return Ball(preset, n, entries)
 
 
@@ -116,20 +146,18 @@ def independent_gamma(preset, n_max, depth):
     return list(enumerate(sizes))
 
 
-def growth_table(preset, n_max):
-    """Growth function rows (n, gamma(n)) for n <= n_max.
+def cross_check(preset, rows):
+    """Raise DedupMismatchError unless the level-action counts equal `rows`.
 
-    The canonical-key counts of the ball must coincide with the independent
-    leaf-permutation counts, which start at default_action_depth(n_max).
+    `rows` are the canonical counts (n, |B(n)|) for n = 0 .. n_max; the
+    independent leaf-permutation counts start at default_action_depth(n_max).
     Distinct level actions are distinct elements, so a level count above a
     canonical one is a fault; one below it may only mean the level is too
     shallow, so the check deepens one level at a time while every level
     count is at most the canonical one and the level has fewer than
-    MAX_CHECK_LEAVES leaves.  A disagreement that remains raises
-    DedupMismatchError.
+    MAX_CHECK_LEAVES leaves.  A disagreement that remains raises.
     """
-    ball_ = ball(preset, n_max)
-    rows = [(n, ball_.count_within(n)) for n in range(n_max + 1)]
+    n_max = rows[-1][0]
     depth = default_action_depth(n_max)
     other = independent_gamma(preset, n_max, depth)
     while (
@@ -143,6 +171,20 @@ def growth_table(preset, n_max):
         raise DedupMismatchError(
             f"canonical dedup {rows} != level-action dedup {other} at depth {depth}"
         )
+
+
+def growth_table(preset, n_max):
+    """Growth function rows (n, gamma(n)) for n <= n_max, cross-checked.
+
+    The canonical counts are the running sizes of the spheres, deduplicated
+    on the intern key without interning; `cross_check` holds them to the
+    level-action counts.
+    """
+    rows, total = [], 0
+    for n, sphere in enumerate(spheres(preset, n_max)):
+        total += len(sphere)
+        rows.append((n, total))
+    cross_check(preset, rows)
     return GrowthTable(rows)
 
 

@@ -79,7 +79,7 @@ def conjugate_set(preset, radius, bases=None):
     key = (radius, tuple(bases))
     if key in cache:
         return cache[key]
-    ts = [tw for _, (_, tw) in enumeration.ball(preset, radius).sorted_items()]
+    ts = [tw for sphere in enumeration.spheres(preset, radius) for _, tw in sphere]
     tables = [core.conjugates(preset.atoms[base], ts) for base in bases]
     out = {}
     for i, tw in enumerate(ts):

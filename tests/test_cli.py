@@ -579,6 +579,20 @@ def test_growth_cross_check_deepens_past_a_level_too_shallow(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "6,215"
 
 
+def test_conjgrowth_cross_checks_its_ball(monkeypatch, capsys):
+    true = enumeration.independent_gamma
+
+    def off_by_one(preset, n_max, depth):
+        rows = true(preset, n_max, depth)
+        return rows[:-1] + [(n_max, rows[-1][1] + 1)]
+
+    monkeypatch.setattr(enumeration, "independent_gamma", off_by_one)
+    argv = ["conjgrowth", "--max-length", "5", "--depth", "4", "--radius", "2"]
+    assert run(argv) == cli.EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == "" and "DedupMismatchError" in captured.err
+
+
 def _random_preset(rng):
     arity = rng.randint(2, 5)
     labels = "abcd"[: rng.randint(1, 4)]

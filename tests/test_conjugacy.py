@@ -98,6 +98,15 @@ def test_bucket_level_is_the_deepest_quotient_within_the_cap(grig):
     assert conjugacy.bucket_level(core.GroupPreset("cyclic-3", 3, [rotation])) == 1
 
 
+def test_bucket_level_stops_at_a_leaf_orbit_over_the_cap():
+    # the binary adding machine acts on each level as one cycle, so its
+    # level-14 leaf orbit of 16,384 ends the search before that basis
+    spec = {"label": "s", "involution": False, "perm": [1, 0], "sections": ["1", "s"]}
+    adding = core.GroupPreset("adding-machine", 2, [spec])
+    assert conjugacy.bucket_level(adding) == 13  # |G_13| = 2^13
+    assert max(adding.cache("layered_basis")) == 13
+
+
 def test_conjugator_search_examples(grig):
     a = grig.atom("a")
     bab = core.evaluate(grig, "bab")

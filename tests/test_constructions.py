@@ -168,6 +168,29 @@ def test_lift_table_covers_every_comm_k_input(grig, ball8):
         data.lift_for(grig.atom("a"))
 
 
+def test_lift_and_coset_tables_match_the_interned_balls(grig):
+    data = branching_data(grig)
+    lifts = {}
+    for e, (_, w) in enumeration.ball(grig, constructions.LIFT_RADIUS).sorted_items():
+        if e.perm == (0, 1) and e.sections[1] is grig.identity:
+            lifts.setdefault(e.sections[0], (e, w))
+    assert list(data.lift_map.items()) == list(lifts.items())
+    reps = {}
+    for e, (_, w) in enumeration.ball(grig, constructions.H1_RADIUS).sorted_items():
+        reps.setdefault(data.h1_key(e), (e, w))
+    assert list(data.h1_reps.items()) == list(reps.items())
+    assert len(reps) == 64
+
+
+def test_ball_readers_intern_only_what_they_keep():
+    # B(16) has 7,213 elements and B(12) 1,487; the coverage scan and the
+    # branching data read them as shapes and keep far fewer
+    fresh = core.GroupPreset("grigorchuk", 2, core.GRIGORCHUK_SPECS)
+    image_coverage_report(8, fresh)
+    branching_data(fresh)
+    assert len(fresh._intern) < 1000
+
+
 def test_encode_right_examples(grig):
     r = encode_right("ab")
     assert r.word == "acad"

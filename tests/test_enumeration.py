@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from griglab import core, enumeration, words
@@ -26,7 +28,8 @@ def test_ball_closure_invariant(grig, ball6):
 
 
 def _reference_ball(preset, n):
-    """B(n) by plain BFS: every frontier element times every generator."""
+    """B(n) by plain BFS through core.multiply: every frontier element times
+    every generator, each sphere in word order."""
     entries = {preset.identity: (0, "")}
     frontier = {preset.identity: ""}
     for level in range(1, n + 1):
@@ -36,16 +39,39 @@ def _reference_ball(preset, n):
                 ne, nw = core.multiply(elem, preset.atom(label)), word + label
                 if ne not in entries and (ne not in fresh or nw < fresh[ne]):
                     fresh[ne] = nw
+        fresh = dict(sorted(fresh.items(), key=lambda kv: kv[1]))
         entries.update((e, (level, w)) for e, w in fresh.items())
         frontier = fresh
     return entries
 
 
-@pytest.mark.parametrize("name, n", [("grigorchuk", 10), ("gupta-sidki-3", 6)])
+@pytest.mark.parametrize(
+    "name, n",
+    [("grigorchuk", 10), ("gupta-sidki-3", 6), ("grigorchuk", 12), ("gupta-sidki-3", 8)],
+)
 def test_ball_skipping_pair_rules_matches_plain_bfs(name, n):
+    # entry for entry and in the same order
     preset = core.load_preset(name)
     assert preset.pair_rules  # so ball could skip products
-    assert ball(preset, n).entries == _reference_ball(preset, n)
+    assert list(ball(preset, n).entries.items()) == list(_reference_ball(preset, n).items())
+
+
+@pytest.mark.parametrize("name, n", [("grigorchuk", 12), ("gupta-sidki-3", 8)])
+def test_sphere_running_sizes_are_the_growth_rows(name, n):
+    preset = core.load_preset(name)
+    sizes = list(itertools.accumulate(len(s) for s in enumeration.spheres(preset, n)))
+    assert list(enumerate(sizes)) == growth_table(preset, n).rows
+    assert sizes == [ball(preset, n).count_within(k) for k in range(n + 1)]
+
+
+def test_spheres_intern_no_element(grig):
+    fresh = core.GroupPreset("grigorchuk", 2, core.GRIGORCHUK_SPECS)
+    walked = list(enumeration.spheres(fresh, 6))
+    shapes = [shape for sphere in walked for shape, _ in sphere]
+    assert len(set(shapes)) == len(shapes) == len(ball(grig, 6))
+    # the sections of a word of length 6 have length at most 3, so the walk
+    # itself interns no element of length 4 to 6
+    assert not any(shape in fresh._intern for sphere in walked[4:] for shape, _ in sphere)
 
 
 def test_ball_entries_are_already_in_length_word_order(grig):
