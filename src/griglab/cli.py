@@ -360,6 +360,7 @@ def _audit_recursion(config, preset, rng):
     n_max = min(config.max_length, 8)
     ball_ = enumeration.ball(preset, n_max)
     gamma_rows = [(n, ball_.count_within(n)) for n in range(n_max + 1)]
+    enumeration.cross_check(preset, gamma_rows)
     st1 = [
         (n, enumeration.membership_counts(conjugacy.subball(ball_, n), "st1"))
         for n in range(n_max + 1)

@@ -98,21 +98,18 @@ class BranchingData:
     def coset_id(self, x):
         return self.coset_table[core.state(core.level_action(x, self.level))]
 
-    def h1_key(self, x):
+    def h1_key(self, perm, sections):
         """Coset key of the level-1 branching subgroup K x K.
 
         Two elements lie in the same coset exactly when their root
-        permutations agree and corresponding sections share K-cosets.
+        permutations agree and corresponding sections share K-cosets.  The
+        element with this shape need not be interned.
         """
-        return self.shape_h1_key(x.perm, x.sections)
-
-    def shape_h1_key(self, perm, sections):
-        """`h1_key` of the element with this shape, which need not be interned."""
         return (perm, self.coset_id(sections[0]), self.coset_id(sections[1]))
 
     def h1_rep(self, x):
         """Shortest known (element, word) in the same K x K coset, or None."""
-        return self.h1_reps.get(self.h1_key(x))
+        return self.h1_reps.get(self.h1_key(x.perm, x.sections))
 
     def lift_for(self, u):
         """Verified (element, word) with sections (u, identity)."""
@@ -180,7 +177,7 @@ def branching_data(preset):
 
     for sphere in enumeration.spheres(preset, H1_RADIUS):
         for shape, word in sphere:
-            key = data.shape_h1_key(*shape)
+            key = data.h1_key(*shape)
             if key not in data.h1_reps:
                 data.h1_reps[key] = (preset.make_element(*shape), word)
     data.h1_rep_max = max((len(w) for _, w in data.h1_reps.values()), default=0)

@@ -630,40 +630,26 @@ def evaluate(preset, word):
 def word_leaf_permutation(preset, word, m):
     """Action of a word on level m computed from the raw generator table.
 
+    A generator sends the leaf v.rest to perm[v].(its section at v)(rest),
+    so its level-(k+1) permutation is built from its sections' level-k
+    ones, and the word composes its letters' permutations as products act.
     Deliberately avoids Element arithmetic and interning so it can serve as
     an independent deduplication path against canonical keys.
     """
-    table = {
-        spec["label"]: (tuple(spec["perm"]), list(spec["sections"]))
-        for spec in preset.generator_specs
-    }
-
-    def act(label, s):
-        if label == IDENTITY_LABEL or not s:
-            return s
-        perm, sections = table[label]
-        v = int(s[0])
-        return str(perm[v]) + act(sections[v], s[1:])
-
     d = preset.arity
-    leaves = []
-
-    def build(prefix, depth):
-        if depth == 0:
-            leaves.append(prefix)
-            return
-        for v in range(d):
-            build(prefix + str(v), depth - 1)
-
-    build("", m)
-    index = {s: i for i, s in enumerate(leaves)}
-    out = []
-    for s in leaves:
-        t = s
-        for ch in reversed(word):
-            t = act(ch, t)
-        out.append(index[t])
-    return tuple(out)
+    table = {spec["label"]: (spec["perm"], spec["sections"]) for spec in preset.generator_specs}
+    table[IDENTITY_LABEL] = (range(d), [IDENTITY_LABEL] * d)
+    acts = dict.fromkeys(table, (0,))  # level 0
+    for k in range(m):  # level k -> level k + 1
+        half = d**k
+        acts = {
+            label: tuple(perm[v] * half + i for v in range(d) for i in acts[sections[v]])
+            for label, (perm, sections) in table.items()
+        }
+    out = acts[IDENTITY_LABEL]
+    for label in word:
+        out = compose(out, acts[label])
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -74,9 +74,9 @@ def conjugate_set(preset, radius, bases=None):
     Maps each element x^t to its first (base, conjugator) pair in sorted
     ball order; the set itself is kept in value order.
     """
-    bases = list(bases) if bases is not None else list(preset.gen_labels)
+    bases = tuple(preset.gen_labels if bases is None else bases)
     cache = preset.cache("conjugate_set")
-    key = (radius, tuple(bases))
+    key = (radius, bases)
     if key in cache:
         return cache[key]
     ts = [tw for sphere in enumeration.spheres(preset, radius) for _, tw in sphere]
@@ -91,8 +91,9 @@ def conjugate_set(preset, radius, bases=None):
 
 def conjugate_pair_set(preset, radius, bases=None):
     """Deduplicated products of two conjugates, keyed by element."""
+    bases = tuple(preset.gen_labels if bases is None else bases)
     cache = preset.cache("conjugate_pair_set")
-    key = (radius, None if bases is None else tuple(bases))
+    key = (radius, bases)
     if key in cache:
         return cache[key]
     items = conjugate_set(preset, radius, bases).items()

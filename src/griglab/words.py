@@ -57,34 +57,20 @@ def is_reduced(word, preset=None):
 
 
 def word_sections(word, preset=None):
-    """Level-1 sections (w0, w1) of a word in the level-1 stabilizer.
+    """Level-1 sections (w_0, ..., w_{d-1}) of a word in the level-1 stabilizer.
 
-    A non-'a' letter whose prefix contains k letters 'a' contributes its
-    own section k mod 2 to w0 and section 1 - k mod 2 to w1; the letters
-    'a' only steer.  Both outputs are reduced.
+    Read through the preset's identity oracle: the word's root permutation
+    must be trivial, and section v is the oracle's section word at v.  Every
+    output is reduced.
     """
     preset = preset or core.load_preset("grigorchuk")
-    if preset.arity != 2:
-        raise ValueError("word_sections requires an arity-2 preset")
-    table = {}
-    swaps = set()
-    for spec in preset.generator_specs:
-        table[spec["label"]] = spec["sections"]
-        if tuple(spec["perm"]) == (1, 0):
-            swaps.add(spec["label"])
-    if sum(word.count(ch) for ch in swaps) % 2:
+    atoms = tuple(preset.atoms[ch] for ch in word)
+    if preset._word_perm(atoms) != tuple(range(preset.arity)):
         raise ValueError(f"word {word!r} is not in the level-1 stabilizer")
-    parts = ["", ""]
-    pre = 0
-    for ch in word:
-        secs = table[ch]
-        for v in (0, 1):
-            s = secs[v ^ pre]
-            if s != core.IDENTITY_LABEL:
-                parts[v] += s
-        if ch in swaps:
-            pre ^= 1
-    return reduce(parts[0], preset), reduce(parts[1], preset)
+    return tuple(
+        reduce("".join(s.label for s in preset._word_section(atoms, v)), preset)
+        for v in range(preset.arity)
+    )
 
 
 def enumerate_reduced(n):

@@ -579,7 +579,16 @@ def test_growth_cross_check_deepens_past_a_level_too_shallow(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "6,215"
 
 
-def test_conjgrowth_cross_checks_its_ball(monkeypatch, capsys):
+def test_growth_of_an_arity_11_preset(tmp_path, capsys, dihedral_22_specs):
+    # level coordinates run to 10, past one decimal digit
+    group = _write_preset(tmp_path / "dihedral-22.json", 11, dihedral_22_specs)
+    assert run(["growth", "--group", group, "--max-length", "6"]) == cli.EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1] == "6,22"
+
+
+@pytest.fixture
+def miscounting_second_path(monkeypatch):
+    """Make the level-action counts one too high at the largest radius."""
     true = enumeration.independent_gamma
 
     def off_by_one(preset, n_max, depth):
@@ -587,8 +596,17 @@ def test_conjgrowth_cross_checks_its_ball(monkeypatch, capsys):
         return rows[:-1] + [(n_max, rows[-1][1] + 1)]
 
     monkeypatch.setattr(enumeration, "independent_gamma", off_by_one)
+
+
+def test_conjgrowth_cross_checks_its_ball(miscounting_second_path, capsys):
     argv = ["conjgrowth", "--max-length", "5", "--depth", "4", "--radius", "2"]
     assert run(argv) == cli.EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == "" and "DedupMismatchError" in captured.err
+
+
+def test_audit_recursion_cross_checks_its_ball(miscounting_second_path, capsys):
+    assert run(["audit", "--lemma", "recursion"]) == cli.EXIT_INTERNAL
     captured = capsys.readouterr()
     assert captured.out == "" and "DedupMismatchError" in captured.err
 

@@ -177,7 +177,7 @@ def test_lift_and_coset_tables_match_the_interned_balls(grig):
     assert list(data.lift_map.items()) == list(lifts.items())
     reps = {}
     for e, (_, w) in enumeration.ball(grig, constructions.H1_RADIUS).sorted_items():
-        reps.setdefault(data.h1_key(e), (e, w))
+        reps.setdefault(data.h1_key(e.perm, e.sections), (e, w))
     assert list(data.h1_reps.items()) == list(reps.items())
     assert len(reps) == 64
 

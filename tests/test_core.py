@@ -235,14 +235,27 @@ def test_generator_relations(grig):
         assert is_identity(evaluate(grig, x + y + x + y))
 
 
-def test_word_leaf_permutation_matches_level_action(grig):
+def test_word_leaf_permutation_matches_level_action(grig, dihedral_22_specs):
     rng = random.Random(5)
-    for _ in range(100):
-        w = "".join(rng.choice("abcd") for _ in range(rng.randint(0, 9)))
-        for m in (1, 3, 5):
-            assert core.word_leaf_permutation(grig, w, m) == level_action(
-                evaluate(grig, w), m
-            )
+    gs = core.load_preset("gupta-sidki-3")
+    dihedral = core.GroupPreset("dihedral-22", 11, dihedral_22_specs)
+    for preset, levels in ((grig, (1, 3, 5)), (gs, (1, 3, 5)), (dihedral, (1, 2))):
+        alphabet = "".join(preset.gen_labels)
+        for _ in range(100):
+            w = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 9)))
+            for m in levels:
+                assert core.word_leaf_permutation(preset, w, m) == level_action(
+                    evaluate(preset, w), m
+                )
+
+
+def test_word_leaf_permutation_interns_nothing():
+    # the second dedup path reads only the generator table
+    fresh = core.GroupPreset("grigorchuk", 2, core.GRIGORCHUK_SPECS)
+    interned, memo = len(fresh._intern), len(fresh._mul_memo)
+    for w in ("", "abacabad", "dacab", "bcbd"):
+        core.word_leaf_permutation(fresh, w, 6)
+    assert (len(fresh._intern), len(fresh._mul_memo)) == (interned, memo)
 
 
 def test_interning_is_thread_safe(grig):

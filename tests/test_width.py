@@ -146,6 +146,11 @@ def test_monotone_in_budget(grig, ball6):
             assert big.factors <= small.factors
 
 
+def test_default_bases_share_the_cached_pair_set(grig):
+    first = width.conjugate_pair_set(grig, 1)
+    assert width.conjugate_pair_set(grig, 1, bases=grig.gen_labels) is first
+
+
 def test_conjugate_set_dedup_dual_path(grig):
     # canonical count against an element-free count over raw words
     for radius in (2, 4, 6):

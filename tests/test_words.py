@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -63,14 +64,22 @@ def test_word_sections_examples(grig):
 
 
 def test_word_sections_agree_with_element_sections(grig):
-    for n in range(11):
-        for w in words.enumerate_reduced(n):
-            if w.count("a") % 2:
-                continue
-            w0, w1 = words.word_sections(w)
-            e = core.evaluate(grig, w)
-            assert core.evaluate(grig, w0) is e.sections[0]
-            assert core.evaluate(grig, w1) is e.sections[1]
+    gs = core.load_preset("gupta-sidki-3")
+    cases = [
+        (grig, w) for n in range(11) for w in words.enumerate_reduced(n) if w.count("a") % 2 == 0
+    ]
+    cases += [
+        (gs, w)
+        for n in range(7)
+        for w in map("".join, itertools.product("tsu", repeat=n))
+        if core.evaluate(gs, w).perm == (0, 1, 2)
+    ]
+    for preset, w in cases:
+        sections = words.word_sections(w, preset)
+        e = core.evaluate(preset, w)
+        assert len(sections) == preset.arity
+        for s, es in zip(sections, e.sections):
+            assert core.evaluate(preset, s) is es
 
 
 def test_enumerate_reduced_examples():
