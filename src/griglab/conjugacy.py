@@ -266,46 +266,55 @@ def conjugator_search(x, y, radius):
     Meet in the middle: z = u*v with u in B(ceil(R/2)) and v in B(floor(R/2))
     covers B(R) exactly, because a geodesic word for z splits at the middle.
     Returns the witness word (re-verified before returning) or None, which
-    certifies only that no conjugator exists within B(radius).  The half
-    tables {x^u: first word u} and [(y^(v^-1), word v)], both in (length,
-    word) order, are built along the half ball's word tree by
-    `core.conjugates`, one memoised step per word.  They depend only on one
-    element and one half-radius, so they are kept in the preset's
-    `conjugator_tables` cache and reused by every later search with that
-    element on the same side; so are the words of the half ball
-    B(ceil(R/2)) they are built from, once per half-radius, read off
-    `enumeration.spheres` without interning the ball's elements.
+    certifies only that no conjugator exists within B(radius).  The witness
+    is the first u*v in the right half's (length, word) order whose target
+    y^(v^-1) meets the left half {x^u: first word u}.  The first target is
+    y itself (v = ""), so the left half is scanned in ball order, along the
+    half ball's word tree by `core.conjugates`, and the search stops at the
+    first u with x^u = y.  Only a scan that reaches the end has the whole
+    left table; only then is it kept in the preset's `conjugator_tables`
+    cache, and only then is the right table [(y^(v^-1), word v)] built and
+    kept, for every later search with that element on that side and that
+    half-radius.  The words of the half ball B(ceil(R/2)) are kept there
+    too, once per half-radius, read off `enumeration.spheres` without
+    interning the ball's elements.
     """
     core._check_same_preset(x, y)
     preset = x.preset
     r1 = (radius + 1) // 2
     r2 = radius - r1
     tables = preset.cache("conjugator_tables")
+
+    def verified(z_word):
+        return core.equals(core.conjugate(x, core.evaluate(preset, z_word)), y)
+
+    words = tables.get(("ball", r1))
+    if words is None:
+        words = tables[("ball", r1)] = [
+            word for sphere in enumeration.spheres(preset, r1) for _, word in sphere
+        ]
     left = tables.get(("left", x, r1))
+    if left is None:
+        left = {}
+        for e, u in zip(core.conjugates(x, words), words):
+            if e not in left:
+                if e is y and verified(u):
+                    return u
+                left[e] = u
+        tables[("left", x, r1)] = left
+    elif y in left and verified(left[y]):
+        return left[y]
     right = tables.get(("right", y, r2))
-    if left is None or right is None:
-        words = tables.get(("ball", r1))
-        if words is None:
-            words = tables[("ball", r1)] = [
-                word for sphere in enumeration.spheres(preset, r1) for _, word in sphere
-            ]
-        if left is None:
-            left = tables[("left", x, r1)] = {}
-            for e, word in zip(core.conjugates(x, words), words):
-                left.setdefault(e, word)
-        if right is None:
-            # ball words are geodesic, so B(r2) is the words of length <= r2
-            short = [word for word in words if len(word) <= r2]
-            right = tables[("right", y, r2)] = list(
-                zip(core.conjugates(y, short, inverse=True), short)
-            )
-    for target, word in right:
-        got = left.get(target)
-        if got is not None:
-            z_word = got + word
-            z = core.evaluate(preset, z_word)
-            if core.equals(core.conjugate(x, z), y):
-                return z_word
+    if right is None:
+        # ball words are geodesic, so B(r2) is the words of length <= r2
+        short = [word for word in words if len(word) <= r2]
+        right = tables[("right", y, r2)] = list(
+            zip(core.conjugates(y, short, inverse=True), short)
+        )
+    for target, v in right:
+        u = left.get(target)
+        if u is not None and verified(u + v):
+            return u + v
     return None
 
 

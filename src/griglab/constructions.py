@@ -90,13 +90,18 @@ class BranchingData:
         self.lift_map = {}  # u -> (elem, word)
         self.h1_reps = {}  # h1 key -> (elem, word)
         self.h1_rep_max = 0
+        self._coset_ids = {}  # element -> coset id
 
     def k_membership(self, x):
         """Membership of x's level-`level` image in K's basis."""
         return core.state(core.level_action(x, self.level)) in self.k_basis
 
     def coset_id(self, x):
-        return self.coset_table[core.state(core.level_action(x, self.level))]
+        got = self._coset_ids.get(x)
+        if got is None:
+            state = core.state(core.level_action(x, self.level))
+            got = self._coset_ids[x] = self.coset_table[state]
+        return got
 
     def h1_key(self, perm, sections):
         """Coset key of the level-1 branching subgroup K x K.

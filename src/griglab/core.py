@@ -547,29 +547,42 @@ def conjugate(x, z):
 def conjugates(x, words, inverse=False):
     """x^w for each word w, or x^(w**-1) with `inverse`, in the words' order.
 
-    Words are strings of atom labels.  x^(w g) = g**-1 * x^w * g is one
-    `_sandwich` step from the value of the prefix w, and
-    x^((g w)**-1) = g * x^(w**-1) * g**-1 one from the value of the suffix
-    w; those values are memoised for the call, so a table over a ball,
-    whose words' prefixes are ball words, costs one step per word.
+    A generator: values come one at a time, so a scan can stop early.
+    Words are strings of atom labels.  x^(u g) = g**-1 * x^u * g is one
+    `_sandwich` step from the value of the prefix u, and
+    x^((g v)**-1) = g * x^(v**-1) * g**-1 one from the value of the suffix
+    v.  Each word extends its longest prefix (suffix) already met one
+    letter at a time, and every value met is kept for the call, so a table
+    over a ball, whose words' prefixes are ball words, costs one step per
+    word.  A step reads `_sandwich_memo` and calls the kernel only on a
+    miss.
     """
     preset = x.preset
-    sandwich, atom, inv = preset._sandwich, preset.atom, preset._inverse_atom
-    memo = {"": x}
-
-    def conj(w):
-        got = memo.get(w)
+    sandwich, memo = preset._sandwich, preset._sandwich_memo
+    atoms, inv = preset.atoms, preset._inverse_atom
+    known = {"": x}
+    for w in words:
+        got = known.get(w)
         if got is None:
-            if inverse:
-                g = atom(w[0])
-                got = sandwich(g, conj(w[1:]), inv[g])
-            else:
-                g = atom(w[-1])
-                got = sandwich(inv[g], conj(w[:-1]), g)
-            memo[w] = got
-        return got
-
-    return [conj(w) for w in words]
+            if inverse:  # from the longest suffix met, leftwards
+                i = 1
+                while (got := known.get(w[i:])) is None:
+                    i += 1
+                for i in range(i - 1, -1, -1):
+                    h = atoms[w[i]]
+                    k = inv[h]
+                    got = memo.get((h, got, k)) or sandwich(h, got, k)
+                    known[w[i:]] = got
+            else:  # from the longest prefix met, rightwards
+                i = len(w) - 1
+                while (got := known.get(w[:i])) is None:
+                    i -= 1
+                for i in range(i, len(w)):
+                    k = atoms[w[i]]
+                    h = inv[k]
+                    got = memo.get((h, got, k)) or sandwich(h, got, k)
+                    known[w[: i + 1]] = got
+        yield got
 
 
 def commutator(x, y):
@@ -617,11 +630,18 @@ def generator_actions(preset, m):
 
 
 def evaluate(preset, word):
-    """Element of a word over generator labels (single characters)."""
-    mul, e = preset._mul, preset.identity
+    """Element of a word over generator labels (single characters).
+
+    A letter `1` is the identity and an unknown letter raises PresetError.
+    Each letter is one product, read off `_mul_memo` and computed by the
+    kernel only on a miss.  The first word to reach an element becomes its
+    `word`.
+    """
+    memo, mul, atoms = preset._mul_memo, preset._mul, preset.atoms
+    e = preset.identity
     for ch in word:
-        if ch != IDENTITY_LABEL:
-            e = mul(e, preset.atom(ch))
+        g = atoms.get(ch) or preset.atom(ch)  # atom raises PresetError
+        e = memo.get((e, g)) or mul(e, g)
     if e.word is None:
         e.word = word
     return e
@@ -830,7 +850,8 @@ class LayeredBasis:
 
     def vector(self, g, j):
         """Layer-j vector of g, an element fixing level j-1, as bytes."""
-        return bytes(self.label(g, j, v) for v in range(self.p ** (j - 1)))
+        below = self.p ** (self.m - j)
+        return bytes(i // below % self.p for i in g[:: below * self.p])
 
     def vertex_action(self, g, level):
         """The permutation g induces on the vertices of a level, as a tuple."""

@@ -12,6 +12,7 @@ raw generator table, and the two counts must agree.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 
 from . import core
 
@@ -74,32 +75,34 @@ def spheres(preset, n):
     one, mul, perms = preset.identity, preset._mul, preset._perms
     gens = [(label, preset.atoms[label]) for label in preset.gen_labels]
     rules = preset.pair_rules
+    # a word's last letter -> (label, perm, sections) of the generators that may follow it
+    follow = {
+        last: [(label, g.perm, g.sections) for label, g in gens if last + label not in rules]
+        for last in ["", *preset.gen_labels]
+    }
     composed = {}  # (x perm, g perm) -> the preset's tuple for their composition
+    by_word = itemgetter(1)
     sphere = [((one.perm, one.sections), "")]
     yield sphere
     seen = {sphere[0][0]}
     for _ in range(n):
         candidates = {}
         for (perm, sections), word in sphere:
-            last = word[-1:]
             get = sections.__getitem__
-            for label, g in gens:
-                if last + label in rules:
-                    continue
-                gp = g.perm
+            for label, gp, gs in follow[word[-1:]]:
                 p = composed.get((perm, gp))
                 if p is None:
                     p = core.compose(perm, gp)
                     p = composed[perm, gp] = perms.setdefault(p, p)
                 # map, not a comprehension: no frame per product
-                shape = (p, tuple(map(mul, map(get, gp), g.sections)))
+                shape = (p, tuple(map(mul, map(get, gp), gs)))
                 if shape in seen:
                     continue
                 nw = word + label
                 cur = candidates.get(shape)
                 if cur is None or nw < cur:
                     candidates[shape] = nw
-        sphere = sorted(candidates.items(), key=lambda kv: kv[1])
+        sphere = sorted(candidates.items(), key=by_word)
         yield sphere
         seen.update(candidates)
 
@@ -150,15 +153,19 @@ def cross_check(preset, rows):
     """Raise DedupMismatchError unless the level-action counts equal `rows`.
 
     `rows` are the canonical counts (n, |B(n)|) for n = 0 .. n_max; the
-    independent leaf-permutation counts start at default_action_depth(n_max).
-    Distinct level actions are distinct elements, so a level count above a
-    canonical one is a fault; one below it may only mean the level is too
-    shallow, so the check deepens one level at a time while every level
-    count is at most the canonical one and the level has fewer than
-    MAX_CHECK_LEAVES leaves.  A disagreement that remains raises.
+    independent leaf-permutation counts start at default_action_depth(n_max),
+    or, if that level is too wide, at the deepest level (at least 1) with
+    fewer than MAX_CHECK_LEAVES leaves.  Distinct level actions are distinct
+    elements, so a level count above a canonical one is a fault; one below
+    it may only mean the level is too shallow, so the check deepens one
+    level at a time while every level count is at most the canonical one
+    and the level has fewer than MAX_CHECK_LEAVES leaves.  A disagreement
+    that remains raises.
     """
     n_max = rows[-1][0]
     depth = default_action_depth(n_max)
+    while depth > 1 and preset.arity**depth >= MAX_CHECK_LEAVES:
+        depth -= 1
     other = independent_gamma(preset, n_max, depth)
     while (
         other != rows

@@ -18,21 +18,23 @@ GRIG_ALPHABET = "abcd"
 def reduce(word, preset=None):
     """Shortest word for the same element under the certified pair rules.
 
-    Leftmost-innermost: letters are pushed onto a stack and the top pair is
-    rewritten until stable, so one pass suffices and the result is a fixpoint.
+    Leftmost-innermost: each letter is rewritten with the top of the stack
+    until stable and then pushed, so the stack never holds a rewritable
+    pair, one pass suffices and the result is a fixpoint.
     """
     rules = (preset or core.load_preset("grigorchuk")).pair_rules
     stack = []
     for ch in word:
-        stack.append(ch)
-        while len(stack) >= 2:
-            repl = rules.get(stack[-2] + stack[-1])
+        while stack:
+            repl = rules.get(stack[-1] + ch)
             if repl is None:
                 break
             stack.pop()
-            stack.pop()
-            if repl:
-                stack.append(repl)
+            ch = repl
+            if not ch:
+                break
+        if ch:
+            stack.append(ch)
     return "".join(stack)
 
 

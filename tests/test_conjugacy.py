@@ -138,6 +138,60 @@ def test_conjugator_search_reuses_its_half_tables(monkeypatch):
     assert again == [search(cold, t) for t in targets]
 
 
+def _full_table_search(x, y, radius, tables):
+    # the meet in the middle with both half tables built in full, scanning
+    # the right one in (length, word) order: the reference for the search's
+    # first-hit scan; returns (u, v) or None
+    preset = x.preset
+    r1 = (radius + 1) // 2
+    r2 = radius - r1
+    words = [w for sphere in enumeration.spheres(preset, r1) for _, w in sphere]
+    left = tables.get(("left", x, r1))
+    if left is None:
+        left = tables["left", x, r1] = {}
+        for u in words:
+            left.setdefault(core.conjugate(x, core.evaluate(preset, u)), u)
+    right = tables.get(("right", y, r2))
+    if right is None:
+        right = tables["right", y, r2] = [
+            (core.conjugate(y, core.invert(core.evaluate(preset, v))), v)
+            for v in words
+            if len(v) <= r2
+        ]
+    for target, v in right:
+        u = left.get(target)
+        if u is not None:
+            return u, v
+    return None
+
+
+# at radius 4 a witness may need a non-empty right word, so the path past
+# the scan runs; at radius 6 every witness of two B(5) elements is in B(3)
+@pytest.mark.parametrize("radius, right_hits", [(4, 16), (6, 0)])
+def test_first_hit_scan_matches_the_full_tables(radius, right_hits):
+    # a fresh preset, so the search starts with no cached table and meets
+    # every path: a scan that stops, a scan that ends and is kept, a kept
+    # left table with and without a kept right one.  Each x meets the y
+    # longest first, so a later hit can need a later u than an earlier one,
+    # which a left table kept after a stopped scan would lack.
+    preset = core.GroupPreset("grigorchuk", 2, core.GRIGORCHUK_SPECS)
+    members = list(enumeration.ball(preset, 5).entries)
+    tables, found = {}, []
+    for x in members:
+        for y in reversed(members):
+            if x is y:
+                continue
+            expected = _full_table_search(x, y, radius, tables)
+            if expected is None:
+                assert conjugator_search(x, y, radius) is None
+            else:
+                assert conjugator_search(x, y, radius) == "".join(expected)
+                found.append(expected)
+    assert len(members) * (len(members) - 1) == 4556
+    assert len(found) == 308
+    assert sum(1 for _, v in found if v) == right_hits
+
+
 def test_search_success_implies_equal_invariants(grig, ball6):
     rng = random.Random(9)
     pool = [e for e, _ in ball6.sorted_items()]

@@ -103,6 +103,24 @@ def test_multiply_rejects_mixed_presets(grig):
             op(gs.atom("t"), grig.atom("a"))
 
 
+def test_evaluate_contract():
+    # a fresh preset, so that no element has a word yet and every product
+    # is first a memo miss and then, evaluated again, a memo hit
+    preset = core.GroupPreset("grigorchuk", 2, core.GRIGORCHUK_SPECS)
+    for _ in range(2):
+        assert evaluate(preset, "") is preset.identity
+        assert evaluate(preset, "1") is evaluate(preset, "111") is preset.identity
+        # c*d = b, so all three words reach one element; the first is kept
+        aba = evaluate(preset, "acda")
+        assert aba.word == "acda"
+        assert evaluate(preset, "aba") is evaluate(preset, "a1b1a") is aba
+        assert aba.word == "acda"
+        assert aba is multiply(multiply(preset.atom("a"), preset.atom("b")), preset.atom("a"))
+        for word, label in (("abxa", "x"), ("ab'", "'"), ("a b", " ")):
+            with pytest.raises(PresetError, match=f"unknown generator {label!r}"):
+                evaluate(preset, word)
+
+
 def test_invert_examples(grig):
     a = grig.atom("a")
     assert invert(a) is a

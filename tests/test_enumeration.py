@@ -169,6 +169,21 @@ def test_cross_check_deepens_past_a_shallow_quotient(grig, ball6, monkeypatch):
     assert growth_table(grig, 6).rows == [(n, ball6.count_within(n)) for n in range(7)]
 
 
+def test_cross_check_starts_within_the_leaf_cap(monkeypatch, dihedral_22_specs):
+    # default_action_depth(6) is 5, and 11**5 leaves are far over the cap
+    dihedral = core.GroupPreset("dihedral-22", 11, dihedral_22_specs)
+    depths = []
+    real = enumeration.independent_gamma
+
+    def recorded(preset, n_max, depth):
+        depths.append(depth)
+        return real(preset, n_max, depth)
+
+    monkeypatch.setattr(enumeration, "independent_gamma", recorded)
+    assert growth_table(dihedral, 6).rows[-1] == (6, 22)
+    assert depths and all(11**depth < enumeration.MAX_CHECK_LEAVES for depth in depths)
+
+
 @pytest.mark.parametrize(
     "shift, depths",
     # a level count above the canonical one is a fault at once; one below it

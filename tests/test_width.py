@@ -134,6 +134,18 @@ def test_palindrome_conjugate_check(grig):
     assert violations == []
 
 
+def test_palindrome_conjugate_check_flags_a_non_involutive_generator():
+    # the binary adding machine s = σ(s, 1) generates Z: no power s^k with
+    # k > 0 is trivial, and s^(2k+1) is not s, the conjugate of s by s^k
+    spec = {"label": "s", "involution": False, "perm": [1, 0], "sections": ["s", "1"]}
+    adding = core.GroupPreset("adding-machine", 2, [spec])
+    checked, violations = palindrome_conjugate_check(7, adding)
+    assert checked == 8
+    even = "even palindrome does not reduce to identity"
+    odd = "odd palindrome is not a conjugate of its middle"
+    assert violations == [("s" * k, even if k % 2 == 0 else odd) for k in range(2, 8)]
+
+
 def test_monotone_in_budget(grig, ball6):
     rng = random.Random(8)
     pool = [e for e, (ln, _) in ball6.sorted_items() if ln <= 4]
