@@ -26,7 +26,7 @@ from . import core, enumeration
 _UNIT = ("u",)
 
 BUCKET_ORDER_CAP = 10_000  # largest level quotient class_partition enumerates
-DEFAULT_SEPARATION_LEVEL = 5
+SEPARATION_LEVEL = 5
 
 
 def depth_invariant(x, m, _memo=None):
@@ -367,19 +367,13 @@ class ClassPartition:
         return json.dumps(rows, sort_keys=True, indent=2) + "\n"
 
 
-def class_partition(
-    ball_,
-    depth,
-    radius,
-    escalate_to=None,
-    separation_level=DEFAULT_SEPARATION_LEVEL,
-):
+def class_partition(ball_, depth, radius, escalate_to=None):
     """Certified conjugacy bracket over the members of a ball.
 
     Buckets are keyed by (depth invariant, class in G_m, m = bucket_level);
     merges run conjugator searches within buckets, shortest members first.
     Classes still sharing a bucket are separated by the layer lift, an exact
-    conjugacy decision in the level-`separation_level` quotient, in (length,
+    conjugacy decision in the level-SEPARATION_LEVEL quotient, in (length,
     word) order of their shortest member, so the bracket restricts to every
     sub-ball; the lower bound counts the largest exhibited pairwise-separated
     set.  A bucket left with unresolved pairs gets one more root-pair pass at
@@ -417,7 +411,7 @@ def class_partition(
         # the lift decides conjugacy in G_m and counted classes are pairwise
         # separated, so a failing class is unseparated from exactly one
         for r in shortest.values():
-            c = next((c for c in counted if not quotient_separated(r, c, separation_level)), None)
+            c = next((c for c in counted if not quotient_separated(r, c, SEPARATION_LEVEL)), None)
             if c is None:
                 counted.append(r)
             else:
@@ -449,15 +443,14 @@ def subball(ball_, n):
     return enumeration.Ball(ball_.preset, n, entries)
 
 
-def conj_growth_table(preset, n_max, depth, radius=6, ball_=None, **kwargs):
+def conj_growth_table(preset, n_max, depth, radius=6, ball_=None, escalate_to=None):
     """Bracket rows for conjugacy growth up to radius n_max.
 
-    Every row is read off one class_partition of B(n_max), which takes the
-    other keywords (escalate_to among them).
+    Every row is read off one class_partition of B(n_max).
     """
     if ball_ is None or ball_.radius < n_max:
         ball_ = enumeration.ball(preset, n_max)
-    return class_partition(subball(ball_, n_max), depth, radius, **kwargs).rows()
+    return class_partition(subball(ball_, n_max), depth, radius, escalate_to).rows()
 
 
 def conj_rows_to_csv(rows):

@@ -38,7 +38,7 @@ def level_quotient(preset, m, budget=5_000_000):
     """All leaf permutations of level m realized by the group, as a set.
 
     Cached per preset; the closure of the identity under the generator
-    actions.
+    actions, kept as the enumeration the layered bases are tested against.
     """
     cache = preset.cache("level_quotient")
     if m not in cache:
@@ -73,34 +73,33 @@ class BranchingData:
     """Stabilized quotient model of a branching subgroup plus lift tables.
 
     The subgroup K is the normal closure of K_WORD.  `level` is the first
-    level whose normal-closure index agrees with the next one; membership
-    sifts against K's layered basis at that level, and coset identity is
-    read off the level-`level` quotient.  The lift map sends u to a verified
-    element with sections (u, identity), and `h1_reps` keeps the first
-    element of B(H1_RADIUS) in each K x K coset; only those elements are
-    interned.
+    level whose normal-closure index agrees with the next one; `k_image` is
+    the set of K's level-`level` actions, and a right coset K*x is named by
+    its least action.  The lift map sends u to a verified element with
+    sections (u, identity), and `h1_reps` keeps the first element of
+    B(H1_RADIUS) in each K x K coset; only those elements are interned.
     """
 
-    def __init__(self, preset, level, index, k_basis, coset_table):
+    def __init__(self, preset, level, index, k_image):
         self.preset = preset
         self.level = level
         self.index = index
-        self.k_basis = k_basis
-        self.coset_table = coset_table  # closure state -> coset id
+        self.k_image = k_image  # set of closure states
         self.lift_map = {}  # u -> (elem, word)
         self.h1_reps = {}  # h1 key -> (elem, word)
         self.h1_rep_max = 0
-        self._coset_ids = {}  # element -> coset id
+        self._coset_ids = {}  # element -> least state of its coset
 
     def k_membership(self, x):
-        """Membership of x's level-`level` image in K's basis."""
-        return core.state(core.level_action(x, self.level)) in self.k_basis
+        """Membership of x's level-`level` action in K's image."""
+        return core.state(core.level_action(x, self.level)) in self.k_image
 
     def coset_id(self, x):
+        """The least level-`level` action in the right coset K*x."""
         got = self._coset_ids.get(x)
         if got is None:
-            state = core.state(core.level_action(x, self.level))
-            got = self._coset_ids[x] = self.coset_table[state]
+            move = core.right_mul(core.level_action(x, self.level))
+            got = self._coset_ids[x] = min(map(move, self.k_image))
         return got
 
     def h1_key(self, perm, sections):
@@ -148,26 +147,9 @@ def branching_data(preset):
 
     level, indices = _stabilized_level(preset, K_WORD)
     k_basis = normal_closure_basis(preset, K_WORD, level)
-    quotient = level_quotient(preset, level)
-    image = [s for s in quotient if s in k_basis]
-
-    # right cosets K*g; the table is exact for the level image
-    coset_table = {}
-    reps_actions = []
-    for p in sorted(quotient):
-        if p in coset_table:
-            continue
-        cid = len(reps_actions)
-        reps_actions.append(p)
-        coset_table.update(dict.fromkeys(map(core.right_mul(p), image), cid))
-
-    data = BranchingData(
-        preset=preset,
-        level=level,
-        index=indices[level],
-        k_basis=k_basis,
-        coset_table=coset_table,
-    )
+    rows = [row for layer in k_basis.rows for _, row, _ in layer]
+    k_image, _ = core.closure([k_basis.identity], list(map(core.right_mul, rows)))
+    data = BranchingData(preset, level, indices[level], k_image)
 
     # the shortest word of each section pair (u, 1), re-evaluated
     identity = preset.identity

@@ -404,60 +404,34 @@ def conjugate_identity_audit(preset, samples):
 
 
 # ----------------------------------------------------------------------
-# infinite dihedral sanity preset (independent word-based engine)
+# the infinite dihedral group, checked through the element arithmetic
+#
+# s is the rooted swap and r = (s, r); both are involutions, and every
+# element of the group they generate is a product of at most two conjugates
+# of them.  An odd reduced word is a palindrome, so one conjugate of its
+# middle letter; an even one is its first letter times such a conjugate.
 
-
-def dihedral_reduce(word):
-    out = []
-    for ch in word:
-        if ch not in "rs":
-            raise ValueError(f"dihedral words use 'r' and 's', got {ch!r}")
-        if out and out[-1] == ch:
-            out.pop()
-        else:
-            out.append(ch)
-    return "".join(out)
-
-
-def dihedral_elements(max_length):
-    out = [""]
-    for n in range(1, max_length + 1):
-        for first in "rs":
-            w = "".join(first if i % 2 == 0 else ("s" if first == "r" else "r") for i in range(n))
-            out.append(w)
-    return out
-
-
-def dihedral_conjugate_decomposition(word):
-    """At most 2 conjugates of r and s multiplying to the given element.
-
-    Odd alternating words are palindromes, hence single conjugates of their
-    middle letter; even ones split off their first letter.  Verified by the
-    dihedral normal form.
-    """
-    w = dihedral_reduce(word)
-    if not w:
-        return []
-    if len(w) % 2 == 1:
-        mid = len(w) // 2
-        u = w[:mid]
-        return [(w[mid], u[::-1])]
-    head, rest = w[0], w[1:]
-    mid = len(rest) // 2
-    u = rest[:mid]
-    return [(head, ""), (rest[mid], u[::-1])]
+DIHEDRAL_SPECS = [
+    {"label": "r", "involution": True, "perm": [0, 1], "sections": ["s", "r"]},
+    {"label": "s", "involution": True, "perm": [1, 0], "sections": ["1", "1"]},
+]
 
 
 def dihedral_width_report(max_length):
-    """Decompose every dihedral element of length <= max_length."""
+    """Decompose every element of B(max_length) of the infinite dihedral group.
+
+    Returns the rows (word, number of conjugates) in ball order and the
+    largest count; raises AssertionError when a product fails verification.
+    """
+    preset = core.GroupPreset("infinite-dihedral", 2, DIHEDRAL_SPECS)
     rows = []
-    for w in dihedral_elements(max_length):
-        factors = dihedral_conjugate_decomposition(w)
-        recomposed = dihedral_reduce(
-            "".join(z[::-1] + x + z for x, z in factors)
-        )
-        if recomposed != w:
+    for e, (n, w) in enumeration.ball(preset, max_length).sorted_items():
+        head, rest = ("", w) if n % 2 else (w[:1], w[1:])
+        factors = [expressions.ConjugateFactor(x, "") for x in head]
+        if rest:
+            mid = len(rest) // 2
+            factors.append(expressions.ConjugateFactor(rest[mid], rest[:mid][::-1]))
+        if not expressions.conjugate_product(preset, factors).verify(e):
             raise AssertionError(f"dihedral decomposition failed for {w!r}")
         rows.append((w, len(factors)))
-    worst = max((k for _, k in rows), default=0)
-    return rows, worst
+    return rows, max(k for _, k in rows)

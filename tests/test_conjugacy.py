@@ -263,7 +263,7 @@ def test_unresolved_lists_only_unseparated_pairs(grig):
     assert len(part.unresolved) == part.upper - part.lower
     for wx, wy in part.unresolved:
         x, y = core.evaluate(grig, wx), core.evaluate(grig, wy)
-        assert not quotient_separated(x, y, conjugacy.DEFAULT_SEPARATION_LEVEL)
+        assert not quotient_separated(x, y, conjugacy.SEPARATION_LEVEL)
 
 
 def test_conj_rows_csv(grig, ball8):

@@ -143,6 +143,29 @@ def test_k_membership_examples(grig):
     assert data.k_membership(core.evaluate(grig, "abab"))
 
 
+def test_k_image_and_cosets_match_the_sifted_quotient(grig, ball8):
+    # the enumerated construction: sift G_3 into K's basis, then number the
+    # right cosets K*p in sorted order of p
+    data = branching_data(grig)
+    quotient = constructions.level_quotient(grig, 3)
+    k_basis = constructions.normal_closure_basis(grig, "abab", 3)
+    image = {s for s in quotient if s in k_basis}
+    table = {}
+    for p in sorted(quotient):
+        if p not in table:
+            table.update(dict.fromkeys(map(core.right_mul(p), image), len(set(table.values()))))
+    assert data.level == 3 and len(image) == 8
+    assert data.k_image == image
+    old, new = {}, {}
+    for e in ball8.entries:
+        s = core.state(core.level_action(e, 3))
+        assert data.k_membership(e) == (s in k_basis)
+        old.setdefault(table[s], set()).add(e)
+        new.setdefault(data.coset_id(e), set()).add(e)
+    assert set(map(frozenset, old.values())) == set(map(frozenset, new.values()))
+    assert len(new) == data.index == 16
+
+
 def test_unstabilized_error(grig):
     with pytest.raises(constructions.UnstabilizedError):
         constructions._stabilized_level(grig, "abab", max_level=2)

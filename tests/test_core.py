@@ -359,8 +359,8 @@ def test_derived_data_is_cached_only_in_the_registry():
     fresh = core.GroupPreset("grigorchuk", 2, core.GRIGORCHUK_SPECS)
     attributes = set(vars(fresh))
     enumeration.growth_table(fresh, 4)
-    # conjugator radius 0 merges nothing, so bucket pairs reach the layer lift
-    conjugacy.conj_growth_table(fresh, 3, depth=2, radius=0, separation_level=3)
+    # conjugator radius 0 merges nothing, so bucket pairs reach the level-5 layer lift
+    conjugacy.conj_growth_table(fresh, 3, depth=2, radius=0)
     constructions.branching_data(fresh)
     constructions.encode_pair("", "ab", fresh)
     budget = width.SearchBudget(radius=1, factor_cap=4)
@@ -370,7 +370,6 @@ def test_derived_data_is_cached_only_in_the_registry():
     width.palindromic_width(evaluate(fresh, "abab"), budget, word="abab")
     assert set(vars(fresh)) == attributes
     assert set(fresh._caches) == {
-        "level_quotient",
         "branching_data",
         "section_pair_map",
         "depth_invariant",

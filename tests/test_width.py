@@ -231,9 +231,14 @@ def test_dihedral_report(grig):
     assert len(rows) == 41
 
 
-def test_dihedral_reduce():
-    assert width.dihedral_reduce("rr") == ""
-    assert width.dihedral_reduce("rsr") == "rsr"
-    assert width.dihedral_reduce("rssr") == ""
-    with pytest.raises(ValueError):
-        width.dihedral_reduce("rx")
+def test_dihedral_lemma_runs_through_the_element_arithmetic(monkeypatch):
+    preset = core.GroupPreset("infinite-dihedral", 2, width.DIHEDRAL_SPECS)
+    # growth_table cross-checks B(20) against the leaf-permutation path
+    assert enumeration.growth_table(preset, 20).rows == [(n, 2 * n + 1) for n in range(21)]
+    # both flags certified: each generator is its own inverse atom
+    assert set(preset.atoms) == {"1", "r", "s"}
+    assert all(core.invert(g) is g for g in preset.generators)
+    # every product is checked, so a failing check cannot pass unnoticed
+    monkeypatch.setattr(expressions.Expression, "verify", lambda self, target: False)
+    with pytest.raises(AssertionError, match="dihedral decomposition failed"):
+        dihedral_width_report(3)
