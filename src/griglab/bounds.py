@@ -1,16 +1,19 @@
-"""Numeric side of the growth estimates: exponents, measured constants,
-recursion and assembly audits.
+"""Numeric side of the growth estimates and the audit layer: exponents,
+measured constants, the recursion and assembly audits, and the lemma
+audits that `griglab audit` runs.
 
-Everything here is a pure table transform.  No asymptotic exponent is ever
+The estimates are pure table transforms.  No asymptotic exponent is ever
 fitted from desk-scale data; the module reports per-row diagnostics and
-inequalities with constants measured on the data actually computed.
+inequalities with constants measured on the data actually computed.  Each
+lemma audit returns (report, inconclusive), the report being the JSON
+object that `griglab audit` prints for that lemma.
 """
 
 from __future__ import annotations
 
 import math
 
-from . import conjugacy, constructions, core, enumeration
+from . import conjugacy, constructions, core, enumeration, expressions, width, words
 
 
 def sigma(d, M):
@@ -89,8 +92,12 @@ def grig_recursion_audit(f_rows, T):
 
 
 class AssemblyAuditReport:
-    def __init__(self, n, pairs_total, assembled, skipped_unreachable, separated, swap_merged):
+    def __init__(
+        self, n, representatives, pairs_total, assembled, skipped_unreachable, separated,
+        swap_merged,
+    ):
         self.n = n
+        self.representatives = representatives  # words, in (length, word) order
         self.pairs_total = pairs_total
         self.assembled = assembled
         self.skipped_unreachable = skipped_unreachable
@@ -101,11 +108,12 @@ class AssemblyAuditReport:
 def assembly_audit(n, preset=None):
     """Assemble elements from pairs of class representatives on the subtrees.
 
-    For each unordered pair of exact class representatives of B(n), a word
-    with exactly those sections is searched; assemblies from distinct pairs
-    must be separated by depth invariants, while the two orders of a pair
-    must merge under conjugation by the rooted generator.  Unreachable pairs
-    are skipped with notice.
+    For each unordered pair of class representatives of B(n), the shortest
+    member of each class of its partition, a word with exactly those
+    sections is searched; assemblies from distinct pairs must be separated
+    by depth invariants, while the two orders of a pair must merge under
+    conjugation by the rooted generator.  Unreachable pairs are skipped
+    with notice.
     """
     preset = preset or core.load_preset("grigorchuk")
     if n > 3:
@@ -113,9 +121,7 @@ def assembly_audit(n, preset=None):
     ball_ = enumeration.ball(preset, n)
     depth = 8  # of the invariants in the partition and in the separation check
     part = conjugacy.class_partition(ball_, depth, 6)
-    reps = sorted(
-        {part.uf.find(e) for e in ball_.entries}, key=lambda e: ball_.entries[e]
-    )
+    reps = sorted(part.classes, key=ball_.entries.__getitem__)  # (length, word)
     rep_words = [ball_.entries[r][1] for r in reps]
     a = preset.atoms["a"]
     assembled = {}
@@ -139,15 +145,224 @@ def assembly_audit(n, preset=None):
         if res.status != constructions.ACHIEVED:
             continue
         other = core.evaluate(preset, res.word)
-        if not core.equals(
-            core.multiply(swapped, core.invert(other)), preset.identity
-        ) and conjugacy.conjugator_search(elem, other, 6) is None:
+        if swapped is not other and conjugacy.conjugator_search(elem, other, 6) is None:
             swap_merged = False
     return AssemblyAuditReport(
         n=n,
+        representatives=tuple(rep_words),
         pairs_total=len(rep_words) * (len(rep_words) + 1) // 2,
         assembled=len(assembled),
         skipped_unreachable=skipped,
         separated=separated,
         swap_merged=swap_merged,
     )
+
+
+# ----------------------------------------------------------------------
+# lemma audits
+
+
+def lemma_report(lemma, failed, counts, discrepancies=(), witnesses=()):
+    """One lemma's audit report, as the JSON object that `griglab audit` prints."""
+    return {
+        "lemma": lemma,
+        "status": "failed" if failed else "passed",
+        "counts": counts,
+        "witnesses": dict(witnesses),
+        "discrepancies": list(discrepancies),
+    }
+
+
+def _audit_subwords(config, preset, rng):
+    failures = []
+    for n in range(7):
+        for w1 in words.enumerate_reduced(n):
+            try:
+                constructions.encode_right(w1, preset)
+            except AssertionError:
+                failures.append(w1)
+    coverage = constructions.image_coverage_report(
+        min(config.max_length, 8), preset
+    )
+    one_ab = constructions.encode_pair("", "ab", preset)
+    witnesses = {"pair_1_ab": {"status": one_ab.status, "word": one_ab.word}}
+    if failures:
+        witnesses["encode_right_failures"] = failures
+    report = lemma_report(
+        "subwords",
+        failures or not coverage.consistent(),
+        {
+            "encode_right_checked": sum(words.count_reduced(n) for n in range(7)),
+            "coverage_reachable": coverage.reachable,
+            "coverage_unreachable": coverage.unreachable,
+            "coverage_unknown": coverage.unknown,
+            "coverage_total": coverage.total,
+        },
+        [
+            {"pair": [w0, w1], "cost": cost, "word": word}
+            for w0, w1, cost, word in coverage.beyond_bound
+        ],
+        witnesses,
+    )
+    return report, coverage.unknown > 0
+
+
+def _audit_comm_k(config, preset, rng):
+    data = constructions.branching_data(preset)
+    members = [e for e, _ in enumeration.ball(preset, 8).sorted_items() if data.k_membership(e)]
+    ok = 0
+    failures = []
+    for _ in range(100):
+        k1, k2 = rng.choice(members), rng.choice(members)
+        try:
+            expr = constructions.comm_k_product(k1, k2, data)
+        except (AssertionError, constructions.LiftUnavailableError) as exc:
+            failures.append(str(exc))
+            continue
+        if len(expr.factors) == 4:
+            ok += 1
+        else:
+            failures.append(f"{len(expr.factors)} factors, expected 4")
+    counts = {"verified": ok, "sampled": 100, "k_ball_members": len(members)}
+    return lemma_report("comm-k", ok != 100, counts, failures), False
+
+
+def _audit_comm_g(config, preset, rng):
+    data = constructions.branching_data(preset)
+    ball_ = enumeration.ball(preset, min(config.max_length, 6))
+    pool = [w for _, (_, w) in ball_.sorted_items()]
+    bound = 4 * data.h1_rep_max + 2 * 4
+    worst = 0
+    failures = []
+    for _ in range(50):
+        gw, xw = rng.choice(pool), rng.choice(pool)
+        try:
+            expr = constructions.comm_g_decompose(gw, xw, data)
+            worst = max(worst, len(expr.factors))
+            if len(expr.factors) > bound:
+                failures.append({"pair": [gw, xw], "factors": len(expr.factors)})
+        except (AssertionError, constructions.LiftUnavailableError) as exc:
+            failures.append({"pair": [gw, xw], "error": str(exc)})
+    counts = {
+        "sampled": 50,
+        "max_factors": worst,
+        "bound": bound,
+        # the longest K x K coset representative in B(H1_RADIUS), not a
+        # K-coset one; the key keeps its old name so stdout stays the same
+        "coset_rep_max": data.h1_rep_max,
+    }
+    return lemma_report("comm-g", failures, counts, failures), False
+
+
+def _audit_bcw_rewrite(config, preset, rng):
+    gens = preset.gen_labels
+    conj_pool = [w for n in range(5) for w in words.enumerate_reduced(n)]
+    failures = []
+    for _ in range(100):
+        n_factors = rng.randint(0, 4)
+        factors = tuple(
+            expressions.ConjugateFactor(rng.choice(gens), rng.choice(conj_pool))
+            for _ in range(n_factors)
+        )
+        expr = expressions.conjugate_product(preset, factors)
+        try:
+            _, comm = width.rewrite_conjugates_to_commutators(expr)
+            if len(comm.factors) > 3 * n_factors:
+                failures.append({"factors": n_factors, "commutators": len(comm.factors)})
+        except AssertionError as exc:
+            failures.append({"error": str(exc)})
+    samples = [(rng.choice(conj_pool), rng.choice(conj_pool)) for _ in range(50)]
+    identity_failures = width.conjugate_identity_audit(preset, samples)
+    report = lemma_report(
+        "bcw-rewrite",
+        failures or identity_failures,
+        {"rewrites": 100, "identity_samples": 50},
+        failures + [list(p) for p in identity_failures],
+        {"axay_identity": "violated" if identity_failures else "confirmed"},
+    )
+    return report, False
+
+
+def _audit_palindrome(config, preset, rng):
+    checked, violations = width.palindrome_conjugate_check(9, preset)
+    ball_ = enumeration.ball(preset, 6)
+    decomposed = 0
+    inconclusive = 0
+    for e, (_, w) in ball_.sorted_items():
+        res = width.palindromic_width(e, width.SearchBudget(radius=4, factor_cap=5), word=w)
+        if res.status == width.DECOMPOSED and len(res.expression.factors) <= 5:
+            decomposed += 1
+        else:
+            inconclusive += 1
+    report = lemma_report(
+        "palindrome",
+        violations or decomposed < 0.95 * len(ball_.entries),
+        {
+            "palindromes_checked": checked,
+            "violations": len(violations),
+            "ball6_decomposed": decomposed,
+            "ball6_inconclusive": inconclusive,
+        },
+        [list(v) for v in violations],
+    )
+    return report, inconclusive > 0
+
+
+def _audit_dihedral(config, preset, rng):
+    rows, worst = width.dihedral_width_report(20)
+    counts = {"elements": len(rows), "max_conjugates": worst}
+    return lemma_report("dihedral", worst > 2, counts), False
+
+
+def _audit_recursion(config, preset, rng):
+    n_max = min(config.max_length, 8)
+    ball_ = enumeration.ball(preset, n_max)
+    gamma_rows = [(n, ball_.count_within(n)) for n in range(n_max + 1)]
+    enumeration.cross_check(preset, gamma_rows)
+    st1 = [
+        (n, enumeration.membership_counts(conjugacy.subball(ball_, n), "st1"))
+        for n in range(n_max + 1)
+    ]
+    T = estimate_T(gamma_rows, st1)
+    f_rows = conjugacy.conj_growth_table(
+        preset, n_max, depth=config.depth, radius=config.radius, ball_=ball_,
+        escalate_to=config.radius + 2,
+    )
+    rep = grig_recursion_audit(f_rows, T)
+    rows = [
+        {"n": r.n, "f_n": r.f_n, "f_4n": r.f_4n, "rhs": r.rhs, "holds": r.holds}
+        for r in rep.rows
+    ]
+    skipped = [{"skipped_nonexact": rep.skipped}] if rep.skipped else []
+    report = lemma_report("recursion", not rep.all_hold, {"T": T, "rows": rows}, skipped)
+    return report, bool(skipped)
+
+
+def _audit_assembly(config, preset, rng):
+    rep = assembly_audit(min(config.max_length, 2), preset)
+    report = lemma_report(
+        "assembly",
+        not (rep.separated and rep.swap_merged),
+        {
+            "pairs_total": rep.pairs_total,
+            "assembled": rep.assembled,
+            "skipped": len(rep.skipped_unreachable),
+        },
+        [{"pair": list(p), "status": s} for p, s in rep.skipped_unreachable],
+    )
+    inconclusive = any(
+        s == constructions.INCONCLUSIVE for _, s in rep.skipped_unreachable
+    )
+    return report, inconclusive
+
+
+AUDITS = {  # lemma -> its audit, in the order `--lemma all` runs them
+    "subwords": _audit_subwords,
+    "comm-k": _audit_comm_k,
+    "comm-g": _audit_comm_g,
+    "bcw-rewrite": _audit_bcw_rewrite,
+    "palindrome": _audit_palindrome,
+    "dihedral": _audit_dihedral,
+    "recursion": _audit_recursion,
+    "assembly": _audit_assembly,
+}

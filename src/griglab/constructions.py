@@ -9,7 +9,7 @@ output against the exact element arithmetic before returning it.
 
 from __future__ import annotations
 
-from . import core, enumeration, expressions, words
+from . import conjugacy, core, enumeration, expressions, words
 
 # highest level searched for a stable normal-closure index
 MAX_LEVEL = 5
@@ -51,13 +51,13 @@ def finite_quotient_order(preset, m):
     """Order of the quotient by the level-m stabilizer, read off its layered basis."""
     if m < 0:
         raise ValueError("level must be >= 0")
-    return core.layered_basis(preset, m).order()
+    return conjugacy.layered_basis(preset, m).order()
 
 
 def normal_closure_basis(preset, word, m):
     """Layered basis of the normal closure of a word in the level-m quotient."""
     seed = core.state(core.level_action(core.evaluate(preset, word), m))
-    return core.LayeredBasis(preset, m, [seed])
+    return conjugacy.LayeredBasis(preset, m, [seed])
 
 
 def normal_closure_index(preset, word, m):

@@ -17,9 +17,7 @@ deduplication O(1) everywhere else in the package.
 
 from __future__ import annotations
 
-import json
 from operator import itemgetter
-from pathlib import Path
 
 SCHEMA_VERSION = "asg-1"
 IDENTITY_LABEL = "1"
@@ -762,130 +760,6 @@ def closure(seeds, moves, budget=None, radius=None):
 
 
 # ----------------------------------------------------------------------
-# layered bases of the level quotients
-#
-# When the arity is a prime p and every generator permutes the children
-# by a rotation c -> c + k mod p, the level quotient G_m = G/St(m) is a
-# finite p-group.  The level stabilisers cut it into layers St(j-1)/St(j),
-# j = 1..m, that are elementary abelian: an element fixing level j-1 is
-# known in layer j by its layer vector, the rotations it applies at the
-# p^(j-1) vertices of level j-1, a vector over F_p.  A layered basis is an
-# induced polycyclic generating sequence along that series (Holt, Eick and
-# O'Brien, Handbook of Computational Group Theory, ch. 8): per layer, a
-# list of rows (pivot, element, inverse powers) whose vectors are echelon,
-# each row 1 at its pivot and 0 at the pivots of the rows before it.
-# Elements are closure states, so G_m is never enumerated.
-
-
-class LayeredBasis:
-    """Induced pcgs of a normal subgroup of G_m along the level stabilisers.
-
-    Built by sifting and closing under p-th powers and commutators of rows.
-    Without seeds the subgroup is G_m itself, generated by the generators'
-    level-m actions.  Given seed states, it is their normal closure in G_m:
-    the conjugates of every new row by the generators are sifted too.  An
-    element is in the subgroup exactly when it sifts to the identity, and
-    the order is p ** (sum of the layer ranks).
-    """
-
-    def __init__(self, preset, m, seeds=None):
-        p = preset.arity
-        if any(p % k == 0 for k in range(2, p)) or any(
-            a.perm != tuple((c + a.perm[0]) % p for c in range(p))
-            for a in preset.generators
-        ):
-            raise PresetError(
-                f"preset {preset.name!r}: a layered basis needs a prime arity "
-                "and generators that rotate the children"
-            )
-        self.p, self.m = p, m
-        points = p**m
-        self.identity = state(range(points))
-        self._pad = bytes(range(points, 256)) if points <= BYTES_POINTS else None
-        self.rows = [[] for _ in range(m)]
-        gens = [state(g) for g in generator_actions(preset, m)]
-        # G_m is its own normal closure, so only seeded bases sift conjugates
-        queue, conjugators = (gens, ()) if seeds is None else (list(seeds), gens)
-        while queue:
-            j, r = self.sift(queue.pop())
-            if j is None:
-                continue
-            pivot = next(v for v, c in enumerate(self.vector(r, j)) if c)
-            r = self.power(r, pow(self.label(r, j, pivot), -1, p))
-            queue.append(self.power(r, p))
-            queue += [self.commutator(r, row) for rows in self.rows for _, row, _ in rows]
-            queue += [self.conj(r, g) for g in conjugators]
-            r_inv = self.inv(r)
-            inverses = [self.identity]
-            for _ in range(1, p):
-                inverses.append(self.mul(inverses[-1], r_inv))
-            self.rows[j - 1].append((pivot, r, inverses))
-
-    def mul(self, g, h):
-        """The state of the product g*h."""
-        if self._pad is None:
-            return itemgetter(*h)(g)
-        return h.translate(g + self._pad)
-
-    def inv(self, g):
-        return state(inverse(g))
-
-    def power(self, g, k):
-        out = self.identity
-        for _ in range(k):
-            out = self.mul(out, g)
-        return out
-
-    def conj(self, x, g):
-        """x^g = g**-1 * x * g."""
-        return self.mul(self.mul(self.inv(g), x), g)
-
-    def commutator(self, g, h):
-        return self.mul(self.mul(self.inv(g), self.inv(h)), self.mul(g, h))
-
-    def label(self, g, j, v):
-        """The rotation that g, fixing level j-1, applies at vertex v of level j-1."""
-        below = self.p ** (self.m - j)
-        return g[v * below * self.p] // below % self.p
-
-    def vector(self, g, j):
-        """Layer-j vector of g, an element fixing level j-1, as bytes."""
-        below = self.p ** (self.m - j)
-        return bytes(i // below % self.p for i in g[:: below * self.p])
-
-    def vertex_action(self, g, level):
-        """The permutation g induces on the vertices of a level, as a tuple."""
-        below = self.p ** (self.m - level)
-        return tuple(i // below for i in g[::below])
-
-    def sift(self, g):
-        """(j, residue): g reduced layer by layer, stopped at the first layer j
-        whose vector no row cancels; j is None when g lies in G_m."""
-        for j, rows in enumerate(self.rows, 1):
-            for pivot, _, inverses in rows:
-                c = self.label(g, j, pivot)
-                if c:
-                    g = self.mul(g, inverses[c])
-            if any(self.vector(g, j)):
-                return j, g
-        return None, g
-
-    def __contains__(self, g):
-        return self.sift(g)[0] is None
-
-    def order(self):
-        return self.p ** sum(map(len, self.rows))
-
-
-def layered_basis(preset, m):
-    """The LayeredBasis of G_m, built on first use and kept in the registry."""
-    cache = preset.cache("layered_basis")
-    if m not in cache:
-        cache[m] = LayeredBasis(preset, m)
-    return cache[m]
-
-
-# ----------------------------------------------------------------------
 # presets
 
 GRIGORCHUK_SPECS = [
@@ -909,6 +783,10 @@ def load_preset(spec):
         if "grigorchuk" not in _BUILTIN_CACHE:
             _BUILTIN_CACHE["grigorchuk"] = GroupPreset("grigorchuk", 2, GRIGORCHUK_SPECS)
         return _BUILTIN_CACHE["grigorchuk"]
+    # only a preset file needs these; a built-in preset loads without them
+    import json
+    from pathlib import Path
+
     path = Path(spec)
     if not path.exists():
         bundled = Path(__file__).parent / "presets" / (str(spec) + ".json")

@@ -67,3 +67,10 @@ def test_assembly_audit_n1(grig):
     assert not identity_pair  # the trivial pair assembles to the identity
     with pytest.raises(ValueError):
         bounds.assembly_audit(5)
+
+
+def test_assembly_audit_pairs_the_shortest_class_members(grig):
+    rep = bounds.assembly_audit(3)
+    assert (rep.pairs_total, rep.assembled, len(rep.skipped_unreachable)) == (36, 7, 29)
+    assert rep.representatives == ("", "a", "b", "c", "d", "ab", "ac", "ad")
+    assert rep.separated and rep.swap_merged

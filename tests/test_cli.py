@@ -323,7 +323,7 @@ def test_audit_crash_exits_4_and_failed_verification_exits_1(
 
 
 def test_a_failed_lemma_leaves_the_other_lemmas_running(monkeypatch, capsys):
-    from griglab import width
+    from griglab import bounds, width
 
     def failing(*args, **kwargs):
         raise AssertionError("palindrome-product decomposition failed verification")
@@ -331,7 +331,7 @@ def test_a_failed_lemma_leaves_the_other_lemmas_running(monkeypatch, capsys):
     monkeypatch.setattr(width, "palindromic_width", failing)
     assert run(["audit", "--lemma", "all"]) == cli.EXIT_FAILED
     reports = {r["lemma"]: r for r in json.loads(capsys.readouterr().out)}
-    assert list(reports) == list(cli._AUDITS)
+    assert list(reports) == list(bounds.AUDITS)
     assert reports.pop("palindrome") == {
         "lemma": "palindrome",
         "status": "failed",
@@ -437,7 +437,6 @@ def test_subcommands_import_only_their_layers():
         "griglab",
         "griglab.cli",
         "griglab.core",
-        "griglab.words",
         "griglab.enumeration",
     }
     assert not new & {"dataclasses", "traceback"}
@@ -452,6 +451,40 @@ def test_subcommands_import_only_their_layers():
     new = _loaded_by(["audit", "--lemma", "all", "--max-length", "4", "--radius", "2"])
     assert {"griglab.bounds", "griglab.constructions", "griglab.width"} <= new
     assert "dataclasses" not in new
+
+
+# Runs argv[1] in a process started with `python -S`, so no site hook loads
+# anything first, and prints the modules it newly imported; json is
+# imported only after the count.
+_NEW_WITHOUT_SITE = """
+import sys
+before = set(sys.modules)
+exec(sys.argv[1])
+new = sorted(set(sys.modules) - before)
+import json
+print(json.dumps(new))
+"""
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import os\nfrom griglab import cli\n"
+        "assert cli.main(['growth', '--max-length', '3', '--out', os.devnull]) == 0",
+        # the benchmark's set-up process
+        "import griglab.cli; from griglab import core; core.load_preset('grigorchuk')",
+    ],
+    ids=["growth", "set-up"],
+)
+def test_growth_start_up_loads_no_json_pathlib_random_or_words(code):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _NEW_WITHOUT_SITE, code],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    new = set(json.loads(proc.stdout))
+    assert "griglab.core" in new
+    assert not new & {"json", "pathlib", "random", "griglab.words"}
 
 
 @pytest.mark.parametrize("enabled", [True, False])

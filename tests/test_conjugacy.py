@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 
@@ -324,7 +325,7 @@ def _orbit(x, m):
 
 def _audit_lift(x, ys, m):
     """Lift and orbit agree on every pair (x, y); counts of each answer."""
-    basis = core.layered_basis(x.preset, m)
+    basis = conjugacy.layered_basis(x.preset, m)
     orbit = _orbit(x, m)
     x_perm = core.level_action(x, m)
     answers = Counter()
@@ -390,3 +391,103 @@ def test_quotient_separated_rejects_mixed_presets(grig):
     gs = core.load_preset("gupta-sidki-3")
     with pytest.raises(core.MixedPresetError):
         quotient_separated(grig.atom("a"), gs.atom("t"), 3)
+
+
+# ----------------------------------------------------------------------
+# a ground truth for the bracket: finitary presets, where every section
+# names an earlier generator or 1, so the group is finite and acts
+# faithfully on level k, the depth of its deepest generator: G = G_k
+
+
+def _spec(label, perm, sections, involution):
+    return {"label": label, "involution": involution, "perm": perm, "sections": sections}
+
+
+FINITARY = {  # name -> (arity, generators, ball radius)
+    # the Sylow 2-subgroup of S_16, of order 2^15
+    "sylow-2-s16": (2, [
+        _spec("a", [1, 0], ["1", "1"], True),
+        _spec("b", [0, 1], ["a", "1"], True),
+        _spec("c", [0, 1], ["b", "1"], True),
+        _spec("d", [0, 1], ["c", "1"], True),
+    ], 6),
+    # C_3 wr C_3, of order 81 with 17 classes; B(10) is the whole group
+    "c3-wr-c3": (3, [
+        _spec("a", [1, 2, 0], ["1", "1", "1"], False),
+        _spec("b", [0, 1, 2], ["a", "1", "1"], False),
+    ], 10),
+    # C_2 wr C_2 wr C_2, the Sylow 2-subgroup of S_8, of order 128 with 20
+    # classes, from a generator with two nontrivial sections
+    "sylow-2-s8": (2, [
+        _spec("a", [1, 0], ["1", "1"], True),
+        _spec("b", [0, 1], ["a", "1"], True),
+        _spec("c", [0, 1], ["a", "b"], True),
+    ], 10),
+}
+
+
+def _finitary_depth(specs):
+    depth = {"1": 0}
+    for s in specs:  # sections name earlier generators
+        depth[s["label"]] = 1 + max(depth[t] for t in s["sections"])
+    return max(depth.values())
+
+
+def _true_class_counts(ball_, k):
+    """The number of conjugacy classes of G = G_k that meet B(n), per n."""
+    moves = [core.conjugation(g) for g in core.generator_actions(ball_.preset, k)]
+    class_of, first_met = {}, []
+    for e, (n, _) in ball_.sorted_items():
+        s = core.state(core.level_action(e, k))
+        if s not in class_of:
+            orbit, _ = core.closure([s], moves)
+            class_of.update(dict.fromkeys(orbit, len(first_met)))
+            first_met.append(n)
+    return [sum(m <= n for m in first_met) for n in range(ball_.radius + 1)]
+
+
+def _bracket_violations(name, radius):
+    """Rows of the CLI's partition at `radius` that miss the true count."""
+    arity, specs, n = FINITARY[name]
+    preset = core.GroupPreset(name, arity, specs)
+    ball_ = enumeration.ball(preset, n)
+    truth = _true_class_counts(ball_, _finitary_depth(specs))
+    rows = class_partition(ball_, 8, radius, escalate_to=radius + 2).rows()
+    return [
+        (r.n, r.lower, r.upper, t)
+        for r, t in zip(rows, truth)
+        if not r.lower <= t <= r.upper or (r.exact and r.lower != t)
+    ]
+
+
+@pytest.mark.parametrize("radius", [0, 6])
+@pytest.mark.parametrize("name", sorted(FINITARY))
+def test_brackets_contain_the_true_class_counts_of_finitary_presets(name, radius):
+    assert _bracket_violations(name, radius) == []
+
+
+def test_conjgrowth_on_a_finitary_preset_file_is_exact_and_true(tmp_path, capsys):
+    from griglab import cli
+
+    arity, specs, n = FINITARY["c3-wr-c3"]
+    group = tmp_path / "c3-wr-c3.json"
+    group.write_text(json.dumps(
+        {"schema": "asg-1", "name": "c3-wr-c3", "arity": arity, "generators": specs}
+    ))
+    # the subcommand cross-checks its ball against the second dedup path
+    argv = ["conjgrowth", "--group", str(group), "--max-length", str(n), "--radius", "6"]
+    assert cli.main(argv) == 0
+    preset = core.GroupPreset("c3-wr-c3", arity, specs)
+    truth = _true_class_counts(enumeration.ball(preset, n), _finitary_depth(specs))
+    assert truth[-1] == 17
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        f"{i},{t},{t},true" for i, t in enumerate(truth)
+    ]
+
+
+def test_the_true_class_counts_catch_a_wrong_separation(monkeypatch):
+    # a separation that always answers "not conjugate" overcounts the
+    # classes; the radius-0 run, which merges least, must show it
+    monkeypatch.setattr(conjugacy, "quotient_separated", lambda x, y, m: True)
+    for name in FINITARY:
+        assert _bracket_violations(name, 0)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from griglab import constructions, core, enumeration, words
+from griglab import conjugacy, constructions, core, enumeration, words
 from griglab.constructions import (
     ACHIEVED,
     INCONCLUSIVE,
@@ -34,7 +34,7 @@ def test_basis_agrees_with_the_enumerated_quotient(name, levels):
     rng = random.Random(levels)
     for m in range(levels):
         quotient = constructions.level_quotient(preset, m)
-        basis = core.layered_basis(preset, m)
+        basis = conjugacy.layered_basis(preset, m)
         assert finite_quotient_order(preset, m) == len(quotient) == basis.order()
         assert all(s in basis for s in quotient)
         # random elements of the rotation wreath product, members or not

@@ -348,7 +348,7 @@ def test_layered_basis_on_tuple_states(monkeypatch):
     # lowering the limit sends level 4 (16 points) down that path
     fresh = core.GroupPreset("grigorchuk", 2, core.GRIGORCHUK_SPECS)
     monkeypatch.setattr(core, "BYTES_POINTS", 8)
-    basis = core.layered_basis(fresh, 4)
+    basis = conjugacy.layered_basis(fresh, 4)
     assert type(basis.identity) is tuple and basis.order() == 4096
     x = evaluate(fresh, "ab")
     assert conjugacy.quotient_separated(x, evaluate(fresh, "ababab"), 4)
