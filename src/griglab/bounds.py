@@ -247,8 +247,8 @@ def _audit_comm_g(config, preset, rng):
         "sampled": 50,
         "max_factors": worst,
         "bound": bound,
-        # the longest K x K coset representative in B(H1_RADIUS), not a
-        # K-coset one; the key keeps its old name so stdout stays the same
+        # the longest shortest K x K coset representative, not a K-coset
+        # one; the key keeps its old name so stdout stays the same
         "coset_rep_max": data.h1_rep_max,
     }
     return lemma_report("comm-g", failures, counts, failures), False

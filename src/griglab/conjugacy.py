@@ -21,7 +21,6 @@ refinements.
 
 from __future__ import annotations
 
-import json
 from functools import reduce
 from operator import itemgetter
 
@@ -388,7 +387,7 @@ class UnionFind:
         return True
 
 
-def conjugator_search(x, y, radius):
+def conjugator_search(x, y, radius, tables=None):
     """Find z with x^z = y, |z| <= radius, or certify there is none.
 
     Meet in the middle: z = u*v with u in B(ceil(R/2)) and v in B(floor(R/2))
@@ -400,25 +399,27 @@ def conjugator_search(x, y, radius):
     y itself (v = ""), so the left half is scanned in ball order, along the
     half ball's word tree by `core.conjugates`, and the search stops at the
     first u with x^u = y.  Only a scan that reaches the end has the whole
-    left table; only then is it kept in the preset's `conjugator_tables`
-    cache, and only then is the right table [(y^(v^-1), word v)] built and
-    kept, for every later search with that element on that side and that
-    half-radius.  The words of the half ball B(ceil(R/2)) are kept there
-    too, once per half-radius, read off `enumeration.spheres` without
+    left table; only then is it kept in `tables`, and only then is the right
+    table [(y^(v^-1), word v)] built and kept there, for every later search
+    sharing `tables` with that element on that side and that half-radius.
+    `tables` is fresh per call unless the caller passes one.  The words of
+    the half ball B(ceil(R/2)) are kept per half-radius in the preset's
+    `conjugator_words` cache, read off `enumeration.spheres` without
     interning the ball's elements.
     """
     core._check_same_preset(x, y)
     preset = x.preset
     r1 = (radius + 1) // 2
     r2 = radius - r1
-    tables = preset.cache("conjugator_tables")
+    tables = {} if tables is None else tables
 
     def verified(z_word):
         return core.equals(core.conjugate(x, core.evaluate(preset, z_word)), y)
 
-    words = tables.get(("ball", r1))
+    ball_words = preset.cache("conjugator_words")
+    words = ball_words.get(r1)
     if words is None:
-        words = tables[("ball", r1)] = [
+        words = ball_words[r1] = [
             word for sphere in enumeration.spheres(preset, r1) for _, word in sphere
         ]
     left = tables.get(("left", x, r1))
@@ -490,6 +491,8 @@ class ClassPartition:
         return rows
 
     def witness_json(self):
+        import json  # only a --witness-out run needs it
+
         rows = {f"{x}|{y}": z for (x, y), z in sorted(self.witnesses.items())}
         return json.dumps(rows, sort_keys=True, indent=2) + "\n"
 
@@ -505,6 +508,8 @@ def class_partition(ball_, depth, radius, escalate_to=None):
     sub-ball; the lower bound counts the largest exhibited pairwise-separated
     set.  A bucket left with unresolved pairs gets one more root-pair pass at
     escalate_to on the same union-find, so escalation only adds merges.
+    The searches of a bucket share one dict of half tables, dropped with
+    the bucket.
     """
     members = [e for e, _ in ball_.sorted_items()]
     word_of = {e: w for e, (_, w) in ball_.entries.items()}
@@ -516,17 +521,17 @@ def class_partition(ball_, depth, radius, escalate_to=None):
     uf = UnionFind(members)
     witnesses = {}
 
-    def merge(x, y, r):
-        z = conjugator_search(x, y, r)
+    def merge(x, y, r, tables):
+        z = conjugator_search(x, y, r, tables)
         if z is not None and uf.union(x, y):
             witnesses[(word_of[x], word_of[y])] = z
 
-    def merge_roots(group, r):
+    def merge_roots(group, r, tables):
         roots = sorted({uf.find(e) for e in group}, key=ball_.entries.__getitem__)
         for i, x in enumerate(roots):
             for y in roots[i + 1 :]:
                 if uf.find(x) is not uf.find(y):
-                    merge(y, x, r)
+                    merge(y, x, r, tables)
 
     def separate(group):
         # count classes pairwise separated from everything already counted
@@ -547,12 +552,13 @@ def class_partition(ball_, depth, radius, escalate_to=None):
 
     classes, separated, unresolved = [], [], []
     for group in buckets.values():
+        tables = {}
         for other in group[1:]:
-            merge(other, group[0], radius)
-        merge_roots(group, radius)
+            merge(other, group[0], radius, tables)
+        merge_roots(group, radius, tables)
         reps, counted, open_pairs = separate(group)
         if open_pairs and escalate_to and escalate_to > radius:
-            merge_roots(group, escalate_to)
+            merge_roots(group, escalate_to, tables)
             reps, counted, open_pairs = separate(group)
         classes += reps
         separated += counted

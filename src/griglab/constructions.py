@@ -15,9 +15,8 @@ from . import conjugacy, core, enumeration, expressions, words
 MAX_LEVEL = 5
 # the branching subgroup K is the normal closure of this word
 K_WORD = "abab"
-# ball radii of the lift table and the K x K coset representatives
+# ball radius of the lift table
 LIFT_RADIUS = 16
-H1_RADIUS = 12
 # largest radius over which section pairs are searched
 MAX_SCAN_RADIUS = 20
 
@@ -76,8 +75,8 @@ class BranchingData:
     level whose normal-closure index agrees with the next one; `k_image` is
     the set of K's level-`level` actions, and a right coset K*x is named by
     its least action.  The lift map sends u to a verified element with
-    sections (u, identity), and `h1_reps` keeps the first element of
-    B(H1_RADIUS) in each K x K coset; only those elements are interned.
+    sections (u, identity), and `h1_reps` keeps the first element in ball
+    order of each K x K coset; only those elements are interned.
     """
 
     def __init__(self, preset, level, index, k_image):
@@ -162,11 +161,16 @@ def branching_data(preset):
             raise AssertionError(f"lift table entry for {u!r} failed verification")
         data.lift_map[u] = (e, word)
 
-    for sphere in enumeration.spheres(preset, H1_RADIUS):
+    # the keys are right cosets of K x K: once a sphere meets no new one,
+    # no later sphere does, and at most 2 * index**2 spheres meet new ones
+    for sphere in enumeration.spheres(preset, 2 * data.index**2):
+        met = len(data.h1_reps)
         for shape, word in sphere:
             key = data.h1_key(*shape)
             if key not in data.h1_reps:
                 data.h1_reps[key] = (preset.make_element(*shape), word)
+        if len(data.h1_reps) == met:
+            break
     data.h1_rep_max = max((len(w) for _, w in data.h1_reps.values()), default=0)
 
     cache[K_WORD] = data

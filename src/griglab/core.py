@@ -93,12 +93,11 @@ class GroupPreset:
     :func:`griglab.enumeration.ball`.
     """
 
-    def __init__(self, name, arity, generator_specs, identity_budget=DEFAULT_IDENTITY_BUDGET):
+    def __init__(self, name, arity, generator_specs):
         if not isinstance(arity, int) or arity < 2:
             raise PresetError(f"arity must be an integer >= 2, got {arity!r}")
         self.name = name
         self.arity = arity
-        self.identity_budget = identity_budget
         self._validate_specs(generator_specs)
         self.generator_specs = [dict(spec) for spec in generator_specs]
         self.gen_labels = [spec["label"] for spec in generator_specs]
@@ -285,7 +284,7 @@ class GroupPreset:
 
     def word_acts_trivially(self, word):
         """Exact identity test for a word of atoms; may raise UndecidedError."""
-        budget = self.identity_budget
+        budget = DEFAULT_IDENTITY_BUDGET
         seed = self._free_reduce_atoms(word)
         seen = set()
         stack = [seed]
@@ -549,37 +548,28 @@ def conjugates(x, words, inverse=False):
     Words are strings of atom labels.  x^(u g) = g**-1 * x^u * g is one
     `_sandwich` step from the value of the prefix u, and
     x^((g v)**-1) = g * x^(v**-1) * g**-1 one from the value of the suffix
-    v.  Each word extends its longest prefix (suffix) already met one
-    letter at a time, and every value met is kept for the call, so a table
-    over a ball, whose words' prefixes are ball words, costs one step per
-    word.  A step reads `_sandwich_memo` and calls the kernel only on a
-    miss.
+    v, so with `inverse` each word is walked reversed.  Each word extends
+    its longest prefix already met one letter at a time, and every value
+    met is kept for the call, so a table over a ball, whose words' prefixes
+    are ball words, costs one step per word.  A step reads `_sandwich_memo`
+    and calls the kernel only on a miss.
     """
     preset = x.preset
-    sandwich, memo = preset._sandwich, preset._sandwich_memo
-    atoms, inv = preset.atoms, preset._inverse_atom
+    sandwich, memo, inv = preset._sandwich, preset._sandwich_memo, preset._inverse_atom
+    # label -> (h, k) of the step c -> h * c * k
+    steps = {label: (g, inv[g]) if inverse else (inv[g], g) for label, g in preset.atoms.items()}
     known = {"": x}
     for w in words:
+        w = w[::-1] if inverse else w
         got = known.get(w)
         if got is None:
-            if inverse:  # from the longest suffix met, leftwards
-                i = 1
-                while (got := known.get(w[i:])) is None:
-                    i += 1
-                for i in range(i - 1, -1, -1):
-                    h = atoms[w[i]]
-                    k = inv[h]
-                    got = memo.get((h, got, k)) or sandwich(h, got, k)
-                    known[w[i:]] = got
-            else:  # from the longest prefix met, rightwards
-                i = len(w) - 1
-                while (got := known.get(w[:i])) is None:
-                    i -= 1
-                for i in range(i, len(w)):
-                    k = atoms[w[i]]
-                    h = inv[k]
-                    got = memo.get((h, got, k)) or sandwich(h, got, k)
-                    known[w[: i + 1]] = got
+            i = len(w) - 1
+            while (got := known.get(w[:i])) is None:
+                i -= 1
+            for i in range(i, len(w)):
+                h, k = steps[w[i]]
+                got = memo.get((h, got, k)) or sandwich(h, got, k)
+                known[w[: i + 1]] = got
         yield got
 
 

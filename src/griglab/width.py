@@ -272,27 +272,15 @@ def _word_of(g):
 
 
 def _palindromic_splits(word):
-    """Minimal split of a word into palindromic substrings, by DP."""
-    n = len(word)
-    if n == 0:
-        return []
-    is_pal = [[False] * n for _ in range(n)]
-    for i in range(n):
-        is_pal[i][i] = True
-    for ln in range(2, n + 1):
-        for i in range(n - ln + 1):
-            j = i + ln - 1
-            if word[i] == word[j] and (ln == 2 or is_pal[i + 1][j - 1]):
-                is_pal[i][j] = True
-    best = [None] * (n + 1)
-    best[0] = []
-    for j in range(1, n + 1):
-        for i in range(j):
-            if best[i] is not None and is_pal[i][j - 1]:
-                cand = best[i] + [word[i:j]]
-                if best[j] is None or len(cand) < len(best[j]):
-                    best[j] = cand
-    return best[n]
+    """Minimal split of a word into palindromic substrings, by DP.
+
+    best[j] is the first shortest split of word[:j], cut points ascending.
+    """
+    best = [[]]
+    for j in range(1, len(word) + 1):
+        splits = (best[i] + [word[i:j]] for i in range(j) if word[i:j] == word[i:j][::-1])
+        best.append(min(splits, key=len))
+    return best[-1]
 
 
 def palindromic_width(g, budget=None, word=None):

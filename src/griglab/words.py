@@ -10,6 +10,8 @@ letters from {b,c,d}.
 
 from __future__ import annotations
 
+from itertools import product
+
 from . import core
 
 GRIG_ALPHABET = "abcd"
@@ -78,25 +80,15 @@ def word_sections(word, preset=None):
 def enumerate_reduced(n):
     """All syntactically reduced Grigorchuk words of length n, lexicographically.
 
-    Reduced words strictly alternate between 'a' and the letters 'bcd'.
+    Reduced words strictly alternate between 'a' and the letters 'bcd', so
+    they are the words starting with 'a' and then those starting in 'bcd'.
     """
     if n < 0:
         raise ValueError("length must be >= 0")
-
-    def extend(prefix, k):
-        if k == 0:
-            yield prefix
-            return
-        if prefix and prefix[-1] != "a":
-            nxt = "a"
-        elif prefix:
-            nxt = "bcd"
-        else:
-            nxt = GRIG_ALPHABET
-        for ch in nxt:
-            yield from extend(prefix + ch, k - 1)
-
-    yield from extend("", n)
+    alternating = ["a", "bcd"] * n
+    yield from map("".join, product(*alternating[:n]))
+    if n:
+        yield from map("".join, product(*alternating[1 : n + 1]))
 
 
 def count_reduced(n):

@@ -473,8 +473,11 @@ print(json.dumps(new))
         "assert cli.main(['growth', '--max-length', '3', '--out', os.devnull]) == 0",
         # the benchmark's set-up process
         "import griglab.cli; from griglab import core; core.load_preset('grigorchuk')",
+        # json is for --witness-out and --format json only
+        "import os\nfrom griglab import cli\nassert cli.main(['conjgrowth', '--max-length', '3',"
+        " '--depth', '4', '--radius', '2', '--out', os.devnull]) == 0",
     ],
-    ids=["growth", "set-up"],
+    ids=["growth", "set-up", "conjgrowth"],
 )
 def test_growth_start_up_loads_no_json_pathlib_random_or_words(code):
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))

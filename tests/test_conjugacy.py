@@ -124,19 +124,34 @@ def test_conjugator_search_reuses_its_half_tables(monkeypatch):
     cold = core.GroupPreset("grigorchuk", 2, core.GRIGORCHUK_SPECS)
     targets = ["aca", "abad", "dacab"]
 
-    def search(preset, conj):
+    def search(preset, conj, tables=None):
         b = preset.atom("b")
-        return conjugator_search(b, core.conjugate(b, core.evaluate(preset, conj)), 6)
+        return conjugator_search(b, core.conjugate(b, core.evaluate(preset, conj)), 6, tables)
 
-    assert all(search(warm, t) for t in targets)
+    tables = {}
+    assert all(search(warm, t, tables) for t in targets)
     calls = []
     real = core.conjugate
     monkeypatch.setattr(core, "conjugate", lambda g, h: calls.append(h) or real(g, h))
-    again = [search(warm, t) for t in targets]
+    again = [search(warm, t, tables) for t in targets]
     # with both tables cached, each search conjugates twice: once to build
     # its target and once to re-check the witness
     assert len(calls) == 2 * len(targets)
     assert again == [search(cold, t) for t in targets]
+
+
+def test_no_registry_entry_keeps_a_half_table():
+    # half tables live for one bucket or one call; the preset keeps only
+    # the words of the half balls
+    fresh = core.GroupPreset("grigorchuk", 2, core.GRIGORCHUK_SPECS)
+    conj_growth_table(fresh, 6, depth=4, radius=4)
+    registry = set(fresh._caches)
+    assert conjugator_search(fresh.atom("a"), fresh.atom("b"), 6) is None
+    assert set(fresh._caches) == registry
+    assert registry == {
+        "depth_invariant", "quotient_class_table", "layered_basis", "conjugator_words"
+    }
+    assert all(isinstance(w, str) for ws in fresh.cache("conjugator_words").values() for w in ws)
 
 
 def _full_table_search(x, y, radius, tables):
@@ -177,16 +192,16 @@ def test_first_hit_scan_matches_the_full_tables(radius, right_hits):
     # which a left table kept after a stopped scan would lack.
     preset = core.GroupPreset("grigorchuk", 2, core.GRIGORCHUK_SPECS)
     members = list(enumeration.ball(preset, 5).entries)
-    tables, found = {}, []
+    tables, shared, found = {}, {}, []
     for x in members:
         for y in reversed(members):
             if x is y:
                 continue
             expected = _full_table_search(x, y, radius, tables)
             if expected is None:
-                assert conjugator_search(x, y, radius) is None
+                assert conjugator_search(x, y, radius, shared) is None
             else:
-                assert conjugator_search(x, y, radius) == "".join(expected)
+                assert conjugator_search(x, y, radius, shared) == "".join(expected)
                 found.append(expected)
     assert len(members) * (len(members) - 1) == 4556
     assert len(found) == 308

@@ -199,10 +199,28 @@ def test_lift_and_coset_tables_match_the_interned_balls(grig):
             lifts.setdefault(e.sections[0], (e, w))
     assert list(data.lift_map.items()) == list(lifts.items())
     reps = {}
-    for e, (_, w) in enumeration.ball(grig, constructions.H1_RADIUS).sorted_items():
+    for e, (_, w) in enumeration.ball(grig, 12).sorted_items():
         reps.setdefault(data.h1_key(e.perm, e.sections), (e, w))
     assert list(data.h1_reps.items()) == list(reps.items())
     assert len(reps) == 64
+
+
+def test_coset_walk_stops_at_the_first_sphere_with_no_new_coset(monkeypatch):
+    fresh = core.GroupPreset("grigorchuk", 2, core.GRIGORCHUK_SPECS)
+    constructions._section_pair_map(fresh, constructions.LIFT_RADIUS)
+    real, read = enumeration.spheres, []
+
+    def spheres(preset, n):
+        for sphere in real(preset, n):
+            read.append(len(sphere))
+            yield sphere
+
+    monkeypatch.setattr(enumeration, "spheres", spheres)
+    data = branching_data(fresh)
+    # sphere 9 meets no new coset, so spheres 10-12 are never built; the
+    # test above compares the cosets met with a radius-12 walk
+    assert len(read) <= 10
+    assert len(data.h1_reps) == 64 and data.h1_rep_max == 8
 
 
 def test_ball_readers_intern_only_what_they_keep():

@@ -296,7 +296,7 @@ def test_non_contracting_preset_rejected():
         {"label": "y", "involution": False, "perm": [0, 1], "sections": ["y", "x"]},
     ]
     with pytest.raises((NonContractingError, core.UndecidedError)):
-        core.GroupPreset("cycling", 2, specs, identity_budget=3000)
+        core.GroupPreset("cycling", 2, specs)
 
 
 def test_permutation_kernel_compose_and_inverse():
@@ -379,5 +379,5 @@ def test_derived_data_is_cached_only_in_the_registry():
         "palindrome_set",
         "conjugate_pair_set",
         "commutator_set",
-        "conjugator_tables",
+        "conjugator_words",
     }

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -126,6 +127,38 @@ def test_palindromic_factors_are_palindromes(grig, ball6):
         for f in r.expression.factors:
             assert f.word == f.word[::-1]
         assert r.expression.verify(e)
+
+
+def _palindromic_splits_reference(word):
+    # the table-and-scan DP the one-line DP replaced, kept as its reference
+    n = len(word)
+    if n == 0:
+        return []
+    is_pal = [[False] * n for _ in range(n)]
+    for i in range(n):
+        is_pal[i][i] = True
+    for ln in range(2, n + 1):
+        for i in range(n - ln + 1):
+            j = i + ln - 1
+            if word[i] == word[j] and (ln == 2 or is_pal[i + 1][j - 1]):
+                is_pal[i][j] = True
+    best = [None] * (n + 1)
+    best[0] = []
+    for j in range(1, n + 1):
+        for i in range(j):
+            if best[i] is not None and is_pal[i][j - 1]:
+                cand = best[i] + [word[i:j]]
+                if best[j] is None or len(cand) < len(best[j]):
+                    best[j] = cand
+    return best[n]
+
+
+def test_palindromic_splits_match_the_table_dp():
+    pool = [w for n in range(11) for w in words.enumerate_reduced(n)]
+    pool += ["".join(p) for n in range(7) for p in itertools.product("abcd", repeat=n)]
+    assert len(pool) == 6672
+    for w in pool:
+        assert width._palindromic_splits(w) == _palindromic_splits_reference(w)
 
 
 def test_palindrome_conjugate_check(grig):
