@@ -329,10 +329,7 @@ def _audit_recursion(config, preset, rng):
         escalate_to=config.radius + 2,
     )
     rep = grig_recursion_audit(f_rows, T)
-    rows = [
-        {"n": r.n, "f_n": r.f_n, "f_4n": r.f_4n, "rhs": r.rhs, "holds": r.holds}
-        for r in rep.rows
-    ]
+    rows = [vars(r) for r in rep.rows]
     skipped = [{"skipped_nonexact": rep.skipped}] if rep.skipped else []
     report = lemma_report("recursion", not rep.all_hold, {"T": T, "rows": rows}, skipped)
     return report, bool(skipped)

@@ -26,29 +26,29 @@ from operator import itemgetter
 
 from . import core, enumeration
 
-_UNIT = ("u",)
-
 BUCKET_ORDER_CAP = 10_000  # largest level quotient class_partition enumerates
 SEPARATION_LEVEL = 5
 
 
-def depth_invariant(x, m, _memo=None):
-    """Recursive conjugation certificate of depth m, for any arity.
+def depth_invariant(x, m):
+    """Recursive conjugation certificate of depth m, for any arity, as an int.
 
     The sorted pairs (length, depth-(m-1) invariant of the product of the
     sections met walking the cycle through the inverse permutation) over
     the cycles of the root permutation; that product is a cyclic rotation,
-    so a conjugate, of the cycle's first-return section.  Depth 0 is the
-    unit.  Equal values are necessary for conjugacy in the full automorphism
-    group, and the certificate refines as m grows.
+    so a conjugate, of the cycle's first-return section.  Depth 0 is 0, and
+    above it the pairs are interned in the registry entry
+    `depth_invariant_ids`, ids counting from 1 in first-seen order, so equal
+    invariants are equal ints and hash in O(1) however deep they are.  Equal
+    values are necessary for conjugacy in the full automorphism group, and
+    the certificate refines as m grows.
     """
     if m < 0:
         raise ValueError("depth must be >= 0")
     if m == 0:
-        return _UNIT
-    if _memo is None:
-        _memo = x.preset.cache("depth_invariant")
-    got = _memo.get((x, m))
+        return 0
+    memo = x.preset.cache("depth_invariant")
+    got = memo.get((x, m))
     if got is not None:
         return got
     back, seen, pairs = core.inverse(x.perm), set(), []
@@ -60,9 +60,9 @@ def depth_invariant(x, m, _memo=None):
             cycle.append(back[cycle[-1]])
         seen.update(cycle)
         first_return = reduce(x.preset._mul, map(x.sections.__getitem__, cycle))
-        pairs.append((len(cycle), depth_invariant(first_return, m - 1, _memo)))
-    out = tuple(sorted(pairs))
-    _memo[(x, m)] = out
+        pairs.append((len(cycle), depth_invariant(first_return, m - 1)))
+    ids = x.preset.cache("depth_invariant_ids")
+    out = memo[(x, m)] = ids.setdefault(tuple(sorted(pairs)), len(ids) + 1)
     return out
 
 
@@ -398,10 +398,12 @@ def conjugator_search(x, y, radius, tables=None):
     y^(v^-1) meets the left half {x^u: first word u}.  The first target is
     y itself (v = ""), so the left half is scanned in ball order, along the
     half ball's word tree by `core.conjugates`, and the search stops at the
-    first u with x^u = y.  Only a scan that reaches the end has the whole
-    left table; only then is it kept in `tables`, and only then is the right
-    table [(y^(v^-1), word v)] built and kept there, for every later search
-    sharing `tables` with that element on that side and that half-radius.
+    first u with x^u = y (whole left tables built first measured slower).
+    Only a scan that reaches the end has the whole left table; only then is
+    it kept in `tables`, and only then is the right table
+    [(y^(v^-1), word v)] built and kept there, for every later search
+    sharing `tables` with that element on that side and that half-radius,
+    whose join then meets y at its first target.
     `tables` is fresh per call unless the caller passes one.  The words of
     the half ball B(ceil(R/2)) are kept per half-radius in the preset's
     `conjugator_words` cache, read off `enumeration.spheres` without
@@ -431,8 +433,6 @@ def conjugator_search(x, y, radius, tables=None):
                     return u
                 left[e] = u
         tables[("left", x, r1)] = left
-    elif y in left and verified(left[y]):
-        return left[y]
     right = tables.get(("right", y, r2))
     if right is None:
         # ball words are geodesic, so B(r2) is the words of length <= r2

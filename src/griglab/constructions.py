@@ -33,7 +33,7 @@ class LiftUnavailableError(RuntimeError):
 # level quotients
 
 
-def level_quotient(preset, m, budget=5_000_000):
+def level_quotient(preset, m):
     """All leaf permutations of level m realized by the group, as a set.
 
     Cached per preset; the closure of the identity under the generator
@@ -42,7 +42,7 @@ def level_quotient(preset, m, budget=5_000_000):
     cache = preset.cache("level_quotient")
     if m not in cache:
         moves = [core.right_mul(g) for g in core.generator_actions(preset, m)]
-        cache[m], _ = core.closure([core.state(range(preset.arity**m))], moves, budget)
+        cache[m], _ = core.closure([core.state(range(preset.arity**m))], moves, 5_000_000)
     return cache[m]
 
 
@@ -377,15 +377,6 @@ def comm_k_product(k1, k2, data):
     return expr
 
 
-def _conjugated_factors(factors, suffix, preset):
-    return [
-        expressions.ConjugateFactor(
-            f.base, words.reduce(f.conjugator + suffix, preset)
-        )
-        for f in factors
-    ]
-
-
 def comm_g_decompose(gamma_word, xi_word, data):
     """Commutator [gamma, xi] as a verified product of generator conjugates.
 
@@ -431,7 +422,10 @@ def comm_g_decompose(gamma_word, xi_word, data):
     left = comm_k_product_sections(k0, l0, data)
     factors.extend(left.factors)
     right = comm_k_product_sections(k1, l1, data)
-    factors.extend(_conjugated_factors(right.factors, "a", preset))
+    factors.extend(
+        expressions.ConjugateFactor(f.base, words.reduce(f.conjugator + "a", preset))
+        for f in right.factors
+    )
     # [kappa, tau]^lam expanded over the letters of tau, innermost first
     n = len(tau_w)
     for j in range(n - 1, -1, -1):

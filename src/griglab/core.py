@@ -104,6 +104,7 @@ class GroupPreset:
 
         self._intern = {}
         self._perms = {}  # permutation -> the one tuple its elements share
+        self._composed = {}  # (p, q) -> the shared tuple of compose(p, q)
         self._mul_memo = {}
         self._sandwich_memo = {}
         self._inv_memo = {}
@@ -391,7 +392,7 @@ class GroupPreset:
         needs no preset check; `multiply` makes it once per call.
         """
         memo, make, one = self._mul_memo, self.make_element, self.identity
-        perms, composed = self._perms, {}  # (x.perm, y.perm) -> shared compose
+        composed, compose_perms = self._composed, self.compose_perms
 
         def mul(x, y):
             if x is one:
@@ -403,10 +404,7 @@ class GroupPreset:
                 xs, yp = x.sections, y.perm
                 # map, not a comprehension: no frame per product
                 sections = tuple(map(mul, map(xs.__getitem__, yp), y.sections))
-                perm = composed.get((x.perm, yp))
-                if perm is None:
-                    perm = compose(x.perm, yp)
-                    perm = composed[x.perm, yp] = perms.setdefault(perm, perm)
+                perm = composed.get((x.perm, yp)) or compose_perms(x.perm, yp)
                 out = memo[(x, y)] = make(perm, sections)
             return out
 
@@ -421,7 +419,7 @@ class GroupPreset:
         shared table.
         """
         memo, mul, make, one = self._sandwich_memo, self._mul, self.make_element, self.identity
-        perms, composed = self._perms, {}  # perms of h, c, k -> those of c*k, h*c*k
+        composed, compose_perms = self._composed, self.compose_perms
 
         def sandwich(h, c, k):
             if c.label is not None or h is one or k is one:
@@ -429,18 +427,19 @@ class GroupPreset:
             out = memo.get((h, c, k))
             if out is None:
                 kp = k.perm
-                got = composed.get((h.perm, c.perm, kp))
-                if got is None:
-                    ck = compose(c.perm, kp)
-                    hck = compose(h.perm, ck)
-                    got = composed[h.perm, c.perm, kp] = (ck, perms.setdefault(hck, hck))
-                ck, perm = got
+                ck = composed.get((c.perm, kp)) or compose_perms(c.perm, kp)
+                perm = composed.get((h.perm, ck)) or compose_perms(h.perm, ck)
                 hs, cs = h.sections.__getitem__, c.sections.__getitem__
                 sections = tuple(map(sandwich, map(hs, ck), map(cs, kp), k.sections))
                 out = memo[(h, c, k)] = make(perm, sections)
             return out
 
         return sandwich
+
+    def compose_perms(self, p, q):
+        """The shared tuple for compose(p, q), kept in `_composed`; read it first."""
+        perm = compose(p, q)
+        return self._composed.setdefault((p, q), self._perms.setdefault(perm, perm))
 
     def make_element(self, perm, sections):
         """Intern the automorphism with the given shape.

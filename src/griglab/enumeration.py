@@ -72,7 +72,8 @@ def spheres(preset, n):
     """
     if n < 0:
         raise ValueError("radius must be >= 0")
-    one, mul, perms = preset.identity, preset._mul, preset._perms
+    one, mul = preset.identity, preset._mul
+    composed, compose = preset._composed, preset.compose_perms
     gens = [(label, preset.atoms[label]) for label in preset.gen_labels]
     rules = preset.pair_rules
     # a word's last letter -> (label, perm, sections) of the generators that may follow it
@@ -80,7 +81,6 @@ def spheres(preset, n):
         last: [(label, g.perm, g.sections) for label, g in gens if last + label not in rules]
         for last in ["", *preset.gen_labels]
     }
-    composed = {}  # (x perm, g perm) -> the preset's tuple for their composition
     by_word = itemgetter(1)
     sphere = [((one.perm, one.sections), "")]
     yield sphere
@@ -90,10 +90,7 @@ def spheres(preset, n):
         for (perm, sections), word in sphere:
             get = sections.__getitem__
             for label, gp, gs in follow[word[-1:]]:
-                p = composed.get((perm, gp))
-                if p is None:
-                    p = core.compose(perm, gp)
-                    p = composed[perm, gp] = perms.setdefault(p, p)
+                p = composed.get((perm, gp)) or compose(perm, gp)
                 # map, not a comprehension: no frame per product
                 shape = (p, tuple(map(mul, map(get, gp), gs)))
                 if shape in seen:

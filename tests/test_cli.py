@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -620,6 +621,18 @@ def test_growth_of_an_arity_11_preset(tmp_path, capsys, dihedral_22_specs):
     group = _write_preset(tmp_path / "dihedral-22.json", 11, dihedral_22_specs)
     assert run(["growth", "--group", group, "--max-length", "6"]) == cli.EXIT_OK
     assert capsys.readouterr().out.splitlines()[-1] == "6,22"
+
+
+def test_conjgrowth_of_an_arity_11_adding_machine_is_fast(tmp_path, capsys):
+    # a bucket key's hash must not grow with the arity: a depth-8 invariant
+    # spans 11**8 vertices, so it is keyed by its interned id
+    spec = {"label": "a", "involution": False, "perm": [(i + 1) % 11 for i in range(11)],
+            "sections": ["1"] * 10 + ["a"]}
+    group = _write_preset(tmp_path / "adding-11.json", 11, [spec])
+    start = time.perf_counter()
+    assert run(["conjgrowth", "--group", group, "--max-length", "8"]) == cli.EXIT_OK
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out.splitlines()[-1] == "8,9,9,true"
 
 
 @pytest.fixture

@@ -15,10 +15,16 @@ from griglab.conjugacy import (
 )
 
 
-def test_invariant_of_identity_is_all_trivial(grig):
-    inv = depth_invariant(grig.identity, 3)
-    assert "a" not in str(inv)
-    assert depth_invariant(grig.identity, 0) == ("u",)
+def test_invariant_of_identity_is_all_trivial(ball6):
+    # the members sharing the identity's depth-m invariant are exactly the
+    # members that fix level m
+    gs_ball = enumeration.ball(core.load_preset("gupta-sidki-3"), 4)
+    for ball_ in (ball6, gs_ball):
+        one = ball_.preset.identity
+        for m in range(6):
+            fixed = core.level_action(one, m)
+            trivial = [e for e in ball_.entries if depth_invariant(e, m) == depth_invariant(one, m)]
+            assert trivial == [e for e in ball_.entries if core.level_action(e, m) == fixed]
 
 
 def test_invariant_constant_on_conjugates(grig):
@@ -149,7 +155,8 @@ def test_no_registry_entry_keeps_a_half_table():
     assert conjugator_search(fresh.atom("a"), fresh.atom("b"), 6) is None
     assert set(fresh._caches) == registry
     assert registry == {
-        "depth_invariant", "quotient_class_table", "layered_basis", "conjugator_words"
+        "depth_invariant", "depth_invariant_ids", "quotient_class_table", "layered_basis",
+        "conjugator_words",
     }
     assert all(isinstance(w, str) for ws in fresh.cache("conjugator_words").values() for w in ws)
 

@@ -373,6 +373,7 @@ def test_derived_data_is_cached_only_in_the_registry():
         "branching_data",
         "section_pair_map",
         "depth_invariant",
+        "depth_invariant_ids",
         "quotient_class_table",
         "layered_basis",
         "conjugate_set",
