@@ -114,6 +114,16 @@ def _emit(text, out_path, flag="--out"):
         sys.stdout.write(text)
 
 
+def _emit_table(config, payload, csv_text):
+    """Write a table as --format asks: `csv_text`, or `payload` as JSON."""
+    if config.out_format == "csv":
+        _emit(csv_text, config.out)
+    else:
+        import json  # a CSV run does not load json
+
+        _emit(json.dumps(payload, sort_keys=True) + "\n", config.out)
+
+
 # ----------------------------------------------------------------------
 # subcommands
 
@@ -121,12 +131,7 @@ def _emit(text, out_path, flag="--out"):
 def cmd_growth(config):
     preset = _preset(config)
     table = enumeration.growth_table(preset, config.max_length)
-    if config.out_format == "json":
-        import json
-
-        _emit(json.dumps({"rows": table.rows}, sort_keys=True) + "\n", config.out)
-    else:
-        _emit(table.to_csv(), config.out)
+    _emit_table(config, {"rows": table.rows}, table.to_csv())
     return EXIT_OK
 
 
@@ -147,13 +152,8 @@ def cmd_conjgrowth(config):
     )
     if config.witness_out:
         _emit(part.witness_json(), config.witness_out, "--witness-out")
-    if config.out_format == "json":
-        import json
-
-        payload = [vars(r) for r in part.rows()]
-        _emit(json.dumps(payload, sort_keys=True) + "\n", config.out)
-    else:
-        _emit(conjugacy.conj_rows_to_csv(part.rows()), config.out)
+    rows = part.rows()
+    _emit_table(config, [vars(r) for r in rows], conjugacy.conj_rows_to_csv(rows))
     return EXIT_OK
 
 

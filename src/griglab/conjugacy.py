@@ -511,23 +511,22 @@ def class_partition(ball_, depth, radius, escalate_to=None):
     The searches of a bucket share one dict of half tables, dropped with
     the bucket.
     """
-    members = [e for e, _ in ball_.sorted_items()]
-    word_of = {e: w for e, (_, w) in ball_.entries.items()}
+    entries = ball_.entries  # in (length, word) order
     level = bucket_level(ball_.preset)
     buckets = {}
-    for e in members:
+    for e in entries:
         key = (depth_invariant(e, depth), quotient_class_id(e, level))
         buckets.setdefault(key, []).append(e)
-    uf = UnionFind(members)
+    uf = UnionFind(entries)
     witnesses = {}
 
     def merge(x, y, r, tables):
         z = conjugator_search(x, y, r, tables)
         if z is not None and uf.union(x, y):
-            witnesses[(word_of[x], word_of[y])] = z
+            witnesses[(entries[x][1], entries[y][1])] = z
 
     def merge_roots(group, r, tables):
-        roots = sorted({uf.find(e) for e in group}, key=ball_.entries.__getitem__)
+        roots = sorted({uf.find(e) for e in group}, key=entries.__getitem__)
         for i, x in enumerate(roots):
             for y in roots[i + 1 :]:
                 if uf.find(x) is not uf.find(y):
@@ -547,7 +546,7 @@ def class_partition(ball_, depth, radius, escalate_to=None):
             if c is None:
                 counted.append(r)
             else:
-                open_pairs.append((word_of[r], word_of[c]))
+                open_pairs.append((entries[r][1], entries[c][1]))
         return list(shortest.values()), counted, open_pairs
 
     classes, separated, unresolved = [], [], []

@@ -42,7 +42,7 @@ def level_quotient(preset, m):
     cache = preset.cache("level_quotient")
     if m not in cache:
         moves = [core.right_mul(g) for g in core.generator_actions(preset, m)]
-        cache[m], _ = core.closure([core.state(range(preset.arity**m))], moves, 5_000_000)
+        cache[m], _ = core.closure([core.state(range(preset.arity**m))], moves)
     return cache[m]
 
 

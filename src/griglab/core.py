@@ -676,10 +676,6 @@ def word_leaf_permutation(preset, word, m):
 BYTES_POINTS = 256
 
 
-class BudgetError(RuntimeError):
-    """A closure outgrew its state budget."""
-
-
 def compose(p, q):
     """Permutation of the product x*y from those of x and y: p[q[i]].
 
@@ -719,14 +715,13 @@ def conjugation(g):
     return lambda q: by_g.translate(q + pad).translate(to_g_inv)
 
 
-def closure(seeds, moves, budget=None, radius=None):
+def closure(seeds, moves, radius=None):
     """Breadth-first closure of the states `seeds` under the callables `moves`.
 
     Returns (reached, sizes): the set of states reached within `radius`
     layers (until nothing new appears when radius is None), and sizes[k],
     the size of that set after k layers.  With a radius, sizes has
-    radius + 1 entries even when the closure saturates earlier.  Raises
-    BudgetError after the first layer that leaves more than `budget` states.
+    radius + 1 entries even when the closure saturates earlier.
     """
     reached = set(seeds)
     frontier = list(reached)
@@ -739,8 +734,6 @@ def closure(seeds, moves, budget=None, radius=None):
                 if t not in reached:
                     reached.add(t)
                     new.append(t)
-        if budget is not None and len(reached) > budget:
-            raise BudgetError(f"closure exceeded {budget} states")
         frontier = new
         sizes.append(len(reached))
     if radius is not None:

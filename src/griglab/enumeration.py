@@ -12,7 +12,6 @@ raw generator table, and the two counts must agree.
 from __future__ import annotations
 
 import math
-from operator import itemgetter
 
 from . import core
 
@@ -61,11 +60,14 @@ def spheres(preset, n):
     Yields each sphere as a list of ((perm, sections), word) sorted by
     word: the shape of an element, its wreath recursion, and the least of
     its words that extend a word of the previous sphere by one generator,
-    so the content is a pure function of (preset, n).  x*g is one wreath
-    step on x's shape, with sections multiplied by the product kernel; the
-    sections are interned, so the shape is the element's intern key and
-    deduplication on shapes is deduplication in the group.  Nothing at the
-    top level is interned or memoised: a caller interns with
+    so the content is a pure function of (preset, n).  The order holds by
+    construction: the previous sphere is extended in word order by the
+    generators in label order, so extensions come in increasing word order
+    and the first word that reaches a new shape is its least one.  x*g is
+    one wreath step on x's shape, with sections multiplied by the product
+    kernel; the sections are interned, so the shape is the element's intern
+    key and deduplication on shapes is deduplication in the group.  Nothing
+    at the top level is interned or memoised: a caller interns with
     `preset.make_element(*shape)` only the elements it keeps.  An extension
     whose last two letters form a certified pair rule is skipped: it equals
     a word at most as long, already met.
@@ -74,34 +76,28 @@ def spheres(preset, n):
         raise ValueError("radius must be >= 0")
     one, mul = preset.identity, preset._mul
     composed, compose = preset._composed, preset.compose_perms
-    gens = [(label, preset.atoms[label]) for label in preset.gen_labels]
+    gens = [(label, preset.atoms[label]) for label in sorted(preset.gen_labels)]
     rules = preset.pair_rules
     # a word's last letter -> (label, perm, sections) of the generators that may follow it
     follow = {
         last: [(label, g.perm, g.sections) for label, g in gens if last + label not in rules]
         for last in ["", *preset.gen_labels]
     }
-    by_word = itemgetter(1)
     sphere = [((one.perm, one.sections), "")]
-    yield sphere
     seen = {sphere[0][0]}
+    yield sphere
     for _ in range(n):
-        candidates = {}
-        for (perm, sections), word in sphere:
+        prev, sphere = sphere, []
+        for (perm, sections), word in prev:
             get = sections.__getitem__
             for label, gp, gs in follow[word[-1:]]:
                 p = composed.get((perm, gp)) or compose(perm, gp)
                 # map, not a comprehension: no frame per product
                 shape = (p, tuple(map(mul, map(get, gp), gs)))
-                if shape in seen:
-                    continue
-                nw = word + label
-                cur = candidates.get(shape)
-                if cur is None or nw < cur:
-                    candidates[shape] = nw
-        sphere = sorted(candidates.items(), key=by_word)
+                if shape not in seen:
+                    seen.add(shape)
+                    sphere.append((shape, word + label))
         yield sphere
-        seen.update(candidates)
 
 
 def ball(preset, n, threads=1):

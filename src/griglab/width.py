@@ -292,9 +292,9 @@ def palindromic_width(g, budget=None, word=None):
     four blocks at desk scale.
     """
     preset = g.preset
-    for spec in preset.generator_specs:
-        if not spec["involution"]:
-            raise ValueError("palindromic width needs an all-involution generating set")
+    # the certified inverse pairs decide, not the declared involution flags
+    if any(preset._inverse_atom[a] is not a for a in preset.generators):
+        raise ValueError("palindromic width needs an all-involution generating set")
     budget = budget or SearchBudget(radius=4, factor_cap=5)
     product, factor = expressions.palindrome_product, expressions.PalindromeFactor
     found = _search(g, budget, product, factor, lambda: palindrome_set(preset, budget.radius))

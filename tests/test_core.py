@@ -323,10 +323,8 @@ def test_permutation_kernel_closure_layers_and_budget():
     assert sizes == [1, 2, 3, 3, 3, 3]
     six = core.right_mul((1, 2, 3, 4, 5, 0))
     ident = core.state(range(6))
-    assert core.closure([ident], [six], budget=3, radius=2)[1] == [1, 2, 3]
-    with pytest.raises(core.BudgetError):
-        core.closure([ident], [six], budget=3, radius=3)
-    assert len(core.closure([ident], [six], budget=6)[0]) == 6
+    assert core.closure([ident], [six], radius=2)[1] == [1, 2, 3]
+    assert len(core.closure([ident], [six])[0]) == 6
 
 
 @pytest.mark.parametrize("points, state_type", [(8, bytes), (256, bytes), (257, tuple)])

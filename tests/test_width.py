@@ -119,6 +119,18 @@ def test_palindromic_width_examples(grig):
     assert r.status == DECOMPOSED and r.factors == 2
 
 
+def test_palindromic_width_reads_involutions_off_the_certified_inverses():
+    # the involution flags declared false, yet r and s certify as involutions
+    specs = [dict(spec, involution=False) for spec in width.DIHEDRAL_SPECS]
+    dihedral = core.GroupPreset("infinite-dihedral", 2, specs)
+    r = palindromic_width(core.evaluate(dihedral, "rsr"), word="rsr")
+    assert r.status == DECOMPOSED and r.factors == 1
+    assert [f.word for f in r.expression.factors] == ["rsr"]
+    gupta_sidki = core.load_preset("gupta-sidki-3")
+    with pytest.raises(ValueError, match="all-involution"):
+        palindromic_width(core.evaluate(gupta_sidki, "t"), word="t")
+
+
 def test_palindromic_factors_are_palindromes(grig, ball6):
     for e, (_, w) in ball6.sorted_items():
         r = palindromic_width(e, SearchBudget(radius=4, factor_cap=5), word=w)
