@@ -209,7 +209,7 @@ def _audit_subwords(config, preset, rng):
 
 def _audit_comm_k(config, preset, rng):
     data = constructions.branching_data(preset)
-    members = [e for e, _ in enumeration.ball(preset, 8).sorted_items() if data.k_membership(e)]
+    members = [e for e in enumeration.ball(preset, 8).entries if data.k_membership(e)]
     ok = 0
     failures = []
     for _ in range(100):
@@ -230,7 +230,7 @@ def _audit_comm_k(config, preset, rng):
 def _audit_comm_g(config, preset, rng):
     data = constructions.branching_data(preset)
     ball_ = enumeration.ball(preset, min(config.max_length, 6))
-    pool = [w for _, (_, w) in ball_.sorted_items()]
+    pool = [w for _, w in ball_.entries.values()]
     bound = 4 * data.h1_rep_max + 2 * 4
     worst = 0
     failures = []
@@ -288,7 +288,7 @@ def _audit_palindrome(config, preset, rng):
     ball_ = enumeration.ball(preset, 6)
     decomposed = 0
     inconclusive = 0
-    for e, (_, w) in ball_.sorted_items():
+    for e, (_, w) in ball_.entries.items():
         res = width.palindromic_width(e, width.SearchBudget(radius=4, factor_cap=5), word=w)
         if res.status == width.DECOMPOSED and len(res.expression.factors) <= 5:
             decomposed += 1
@@ -325,8 +325,7 @@ def _audit_recursion(config, preset, rng):
     ]
     T = estimate_T(gamma_rows, st1)
     f_rows = conjugacy.conj_growth_table(
-        preset, n_max, depth=config.depth, radius=config.radius, ball_=ball_,
-        escalate_to=config.radius + 2,
+        preset, n_max, depth=config.depth, radius=config.radius, ball_=ball_
     )
     rep = grig_recursion_audit(f_rows, T)
     rows = [vars(r) for r in rep.rows]

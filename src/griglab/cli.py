@@ -147,9 +147,7 @@ def cmd_conjgrowth(config):
     enumeration.cross_check(
         preset, [(n, ball_.count_within(n)) for n in range(config.max_length + 1)]
     )
-    part = conjugacy.class_partition(
-        ball_, config.depth, config.radius, escalate_to=config.radius + 2
-    )
+    part = conjugacy.class_partition(ball_, config.depth, config.radius)
     if config.witness_out:
         _emit(part.witness_json(), config.witness_out, "--witness-out")
     rows = part.rows()

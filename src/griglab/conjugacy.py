@@ -6,8 +6,8 @@ sides.  Separations (lower bound) come from class functions: the recursive
 depth invariant, conjugacy classes of images in a small level quotient, and
 for stubborn pairs an exact conjugacy decision in a deeper level quotient,
 lifted layer by layer through its layered basis.  Merges (upper bound) come
-from explicit conjugator witnesses, re-verified by the equality oracle
-before they count.
+from paths in the conjugation graph of a larger ball, whose labels are
+conjugator witnesses re-verified by the equality oracle before they count.
 
 The layered bases of the level quotients live here, beside the lift that
 uses them; `constructions` reads quotient orders off them too.
@@ -361,33 +361,10 @@ def _reduce(w, rows, p):
 
 
 # ----------------------------------------------------------------------
-# union-find and search
+# conjugator search and the conjugation graph
 
 
-class UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-        self.rank = {x: 0 for x in items}
-
-    def find(self, x):
-        root = self.parent[x]
-        if self.parent[root] is not root:
-            root = self.parent[x] = self.find(root)
-        return root
-
-    def union(self, x, y):
-        x, y = self.find(x), self.find(y)
-        if x is y:
-            return False
-        if self.rank[x] < self.rank[y]:
-            x, y = y, x
-        elif self.rank[x] == self.rank[y]:
-            self.rank[x] += 1
-        self.parent[y] = x
-        return True
-
-
-def conjugator_search(x, y, radius, tables=None):
+def conjugator_search(x, y, radius):
     """Find z with x^z = y, |z| <= radius, or certify there is none.
 
     Meet in the middle: z = u*v with u in B(ceil(R/2)) and v in B(floor(R/2))
@@ -398,53 +375,74 @@ def conjugator_search(x, y, radius, tables=None):
     y^(v^-1) meets the left half {x^u: first word u}.  The first target is
     y itself (v = ""), so the left half is scanned in ball order, along the
     half ball's word tree by `core.conjugates`, and the search stops at the
-    first u with x^u = y (whole left tables built first measured slower).
-    Only a scan that reaches the end has the whole left table; only then is
-    it kept in `tables`, and only then is the right table
-    [(y^(v^-1), word v)] built and kept there, for every later search
-    sharing `tables` with that element on that side and that half-radius,
-    whose join then meets y at its first target.
-    `tables` is fresh per call unless the caller passes one.  The words of
-    the half ball B(ceil(R/2)) are kept per half-radius in the preset's
-    `conjugator_words` cache, read off `enumeration.spheres` without
-    interning the ball's elements.
+    first u with x^u = y; only a scan that ends streams the right half.
+    Both halves live for the call.
     """
     core._check_same_preset(x, y)
     preset = x.preset
     r1 = (radius + 1) // 2
     r2 = radius - r1
-    tables = {} if tables is None else tables
 
     def verified(z_word):
         return core.equals(core.conjugate(x, core.evaluate(preset, z_word)), y)
 
-    ball_words = preset.cache("conjugator_words")
-    words = ball_words.get(r1)
-    if words is None:
-        words = ball_words[r1] = [
-            word for sphere in enumeration.spheres(preset, r1) for _, word in sphere
-        ]
-    left = tables.get(("left", x, r1))
-    if left is None:
-        left = {}
-        for e, u in zip(core.conjugates(x, words), words):
-            if e not in left:
-                if e is y and verified(u):
-                    return u
-                left[e] = u
-        tables[("left", x, r1)] = left
-    right = tables.get(("right", y, r2))
-    if right is None:
-        # ball words are geodesic, so B(r2) is the words of length <= r2
-        short = [word for word in words if len(word) <= r2]
-        right = tables[("right", y, r2)] = list(
-            zip(core.conjugates(y, short, inverse=True), short)
-        )
-    for target, v in right:
+    words = [word for sphere in enumeration.spheres(preset, r1) for _, word in sphere]
+    left = {}
+    for e, u in zip(core.conjugates(x, words), words):
+        if e not in left:
+            if e is y and verified(u):
+                return u
+            left[e] = u
+    # ball words are geodesic, so B(r2) is the words of length <= r2
+    short = [word for word in words if len(word) <= r2]
+    for target, v in zip(core.conjugates(y, short, inverse=True), short):
         u = left.get(target)
         if u is not None and verified(u + v):
             return u + v
     return None
+
+
+def _conjugation_step(preset):
+    """The conjugation graph's edges on shapes: step(s) -> [(label, t)].
+
+    t = g*s*g**-1 for each generator g in label order, so t^g = s: labels
+    read from a path's end back to its start form a positive word, though a
+    generator may lack a labelled inverse or have infinite order.  t is
+    built as `_sandwich` builds its top level, sections through `_sandwich`.
+    """
+    sandwich, inv = preset._sandwich, preset._inverse_atom
+    composed, compose = preset._composed, preset.compose_perms
+    moves = [
+        (label, g.perm, g.sections.__getitem__, inv[g].perm, inv[g].sections)
+        for label in sorted(preset.gen_labels)
+        for g in [preset.atoms[label]]
+    ]
+
+    def step(shape):
+        perm, sections = shape
+        get, out = sections.__getitem__, []
+        for label, gp, gs, kp, ks in moves:
+            sk = composed.get((perm, kp)) or compose(perm, kp)
+            t_perm = composed.get((gp, sk)) or compose(gp, sk)
+            # map, not a comprehension: no frame per product
+            out.append((label, (t_perm, tuple(map(sandwich, map(gs, sk), map(get, kp), ks)))))
+        return out
+
+    return step
+
+
+def _paths(start, step, walked):
+    """Yield (t, z) breadth first, once per shape t in `walked` that `step`
+    reaches from the shape `start`; z is the labels from t back, t^z = start."""
+    seen, frontier = {start}, [(start, "")]
+    while frontier:
+        prev, frontier = frontier, []
+        for shape, z in prev:
+            for label, t in step(shape):
+                if t in walked and t not in seen:
+                    seen.add(t)
+                    frontier.append((t, label + z))
+                    yield t, label + z
 
 
 # ----------------------------------------------------------------------
@@ -498,70 +496,65 @@ class ClassPartition:
 
 
 def class_partition(ball_, depth, radius, escalate_to=None):
-    """Certified conjugacy bracket over the members of a ball.
+    """Certified conjugacy bracket over the members of a ball B(n).
 
-    Buckets are keyed by (depth invariant, class in G_m, m = bucket_level);
-    merges run conjugator searches within buckets, shortest members first.
-    Classes still sharing a bucket are separated by the layer lift, an exact
-    conjugacy decision in the level-SEPARATION_LEVEL quotient, in (length,
-    word) order of their shortest member, so the bracket restricts to every
-    sub-ball; the lower bound counts the largest exhibited pairwise-separated
-    set.  A bucket left with unresolved pairs gets one more root-pair pass at
-    escalate_to on the same union-find, so escalation only adds merges.
-    The searches of a bucket share one dict of half tables, dropped with
-    the bucket.
+    Buckets are keyed by (depth invariant, class in G_m, m = bucket_level).
+    Merges follow the conjugation graph on B(n + R), R = max(radius,
+    escalate_to), walked once as shapes: a conjugator g1...gk with k <= R
+    keeps every x^(g1...gi) within B(n + k), so every merge of a radius-R
+    search is a path there.  Each member no search has reached, in
+    (length, word) order, is the shortest member of a new class; a
+    breadth-first search from it gives each member it reaches the path's
+    labels as a witness, counted once re-verified, and stops when its
+    bucket has no member left in no class.  Conjugation keeps the bucket
+    key, so reaching another bucket is a fault.  Classes still sharing a
+    bucket are separated by the layer lift, an exact conjugacy decision in
+    the level-SEPARATION_LEVEL quotient, in (length, word) order of their
+    shortest member, so the bracket restricts to every sub-ball; the lower
+    bound counts the largest exhibited pairwise-separated set.
     """
+    preset = ball_.preset
     entries = ball_.entries  # in (length, word) order
-    level = bucket_level(ball_.preset)
-    buckets = {}
+    level = bucket_level(preset)
+    buckets, key_of = {}, {}
     for e in entries:
-        key = (depth_invariant(e, depth), quotient_class_id(e, level))
+        key = key_of[e] = (depth_invariant(e, depth), quotient_class_id(e, level))
         buckets.setdefault(key, []).append(e)
-    uf = UnionFind(entries)
-    witnesses = {}
-
-    def merge(x, y, r, tables):
-        z = conjugator_search(x, y, r, tables)
-        if z is not None and uf.union(x, y):
-            witnesses[(entries[x][1], entries[y][1])] = z
-
-    def merge_roots(group, r, tables):
-        roots = sorted({uf.find(e) for e in group}, key=entries.__getitem__)
-        for i, x in enumerate(roots):
-            for y in roots[i + 1 :]:
-                if uf.find(x) is not uf.find(y):
-                    merge(y, x, r, tables)
-
-    def separate(group):
-        # count classes pairwise separated from everything already counted
-        # in this bucket; separation failures stay in the bracket gap
-        shortest = {}
-        for e in group:
-            shortest.setdefault(uf.find(e), e)
-        counted, open_pairs = [], []
+    reach = ball_.radius + max(radius, escalate_to or 0)
+    walked = {shape for sphere in enumeration.spheres(preset, reach) for shape, _ in sphere}
+    members = {(e.perm, e.sections): e for e in entries}
+    step = _conjugation_step(preset)
+    witnesses, classes, separated, unresolved = {}, [], [], []
+    for key, group in buckets.items():
+        open_, reps = set(group), []  # members in no class yet; shortest members
+        for x in group:
+            if x not in open_:
+                continue
+            open_.remove(x)
+            reps.append(x)
+            for t, z in _paths((x.perm, x.sections), step, walked) if open_ else ():
+                y = members.get(t)
+                if y is not None and key_of[y] != key:
+                    raise AssertionError(
+                        f"conjugates {entries[y][1]!r}, {entries[x][1]!r} in different buckets"
+                    )
+                if y in open_ and core.conjugate(y, core.evaluate(preset, z)) is x:
+                    open_.remove(y)
+                    witnesses[(entries[y][1], entries[x][1])] = z
+                    if not open_:
+                        break
         # the lift decides conjugacy in G_m and counted classes are pairwise
-        # separated, so a failing class is unseparated from exactly one
-        for r in shortest.values():
+        # separated, so a class that fails is unseparated from exactly one;
+        # separation failures stay in the bracket gap
+        counted = []
+        for r in reps:
             c = next((c for c in counted if not quotient_separated(r, c, SEPARATION_LEVEL)), None)
             if c is None:
                 counted.append(r)
             else:
-                open_pairs.append((entries[r][1], entries[c][1]))
-        return list(shortest.values()), counted, open_pairs
-
-    classes, separated, unresolved = [], [], []
-    for group in buckets.values():
-        tables = {}
-        for other in group[1:]:
-            merge(other, group[0], radius, tables)
-        merge_roots(group, radius, tables)
-        reps, counted, open_pairs = separate(group)
-        if open_pairs and escalate_to and escalate_to > radius:
-            merge_roots(group, escalate_to, tables)
-            reps, counted, open_pairs = separate(group)
+                unresolved.append((entries[r][1], entries[c][1]))
         classes += reps
         separated += counted
-        unresolved += open_pairs
     return ClassPartition(
         ball_, witnesses, tuple(classes), tuple(separated), tuple(unresolved)
     )

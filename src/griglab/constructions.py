@@ -319,8 +319,7 @@ def image_coverage_report(n, preset=None):
         raise ValueError("budget must be >= 0")
     scan = min(2 * n, MAX_SCAN_RADIUS)
     pair_map = _section_pair_map(preset, max(scan, 1))
-    half = enumeration.ball(preset, n // 2)
-    targets = half.sorted_items()
+    targets = enumeration.ball(preset, n // 2).entries.items()
     beyond = []
     reachable = unreachable = unknown = 0
     for u, (lu, wu) in targets:

@@ -127,7 +127,7 @@ def _first_commutator(preset, radius, g):
     cache = preset.cache("commutator_set")
     if radius in cache:
         return cache[radius].get(g)
-    items = enumeration.ball(preset, radius).sorted_items()
+    items = enumeration.ball(preset, radius).entries.items()
     ys = [yw for _, (_, yw) in items]
     mul, out = preset._mul, {}
     for x, (_, xw) in items:
@@ -413,7 +413,7 @@ def dihedral_width_report(max_length):
     """
     preset = core.GroupPreset("infinite-dihedral", 2, DIHEDRAL_SPECS)
     rows = []
-    for e, (n, w) in enumeration.ball(preset, max_length).sorted_items():
+    for e, (n, w) in enumeration.ball(preset, max_length).entries.items():
         head, rest = ("", w) if n % 2 else (w[:1], w[1:])
         factors = [expressions.ConjugateFactor(x, "") for x in head]
         if rest:

@@ -125,30 +125,8 @@ def test_conjugator_search_examples(grig):
     assert core.equals(core.conjugate(grig.atom("b"), core.evaluate(grig, z)), y)
 
 
-def test_conjugator_search_reuses_its_half_tables(monkeypatch):
-    warm = core.GroupPreset("grigorchuk", 2, core.GRIGORCHUK_SPECS)
-    cold = core.GroupPreset("grigorchuk", 2, core.GRIGORCHUK_SPECS)
-    targets = ["aca", "abad", "dacab"]
-
-    def search(preset, conj, tables=None):
-        b = preset.atom("b")
-        return conjugator_search(b, core.conjugate(b, core.evaluate(preset, conj)), 6, tables)
-
-    tables = {}
-    assert all(search(warm, t, tables) for t in targets)
-    calls = []
-    real = core.conjugate
-    monkeypatch.setattr(core, "conjugate", lambda g, h: calls.append(h) or real(g, h))
-    again = [search(warm, t, tables) for t in targets]
-    # with both tables cached, each search conjugates twice: once to build
-    # its target and once to re-check the witness
-    assert len(calls) == 2 * len(targets)
-    assert again == [search(cold, t) for t in targets]
-
-
 def test_no_registry_entry_keeps_a_half_table():
-    # half tables live for one bucket or one call; the preset keeps only
-    # the words of the half balls
+    # a search's half tables and a partition's walk live for one call
     fresh = core.GroupPreset("grigorchuk", 2, core.GRIGORCHUK_SPECS)
     conj_growth_table(fresh, 6, depth=4, radius=4)
     registry = set(fresh._caches)
@@ -156,15 +134,13 @@ def test_no_registry_entry_keeps_a_half_table():
     assert set(fresh._caches) == registry
     assert registry == {
         "depth_invariant", "depth_invariant_ids", "quotient_class_table", "layered_basis",
-        "conjugator_words",
     }
-    assert all(isinstance(w, str) for ws in fresh.cache("conjugator_words").values() for w in ws)
 
 
 def _full_table_search(x, y, radius, tables):
     # the meet in the middle with both half tables built in full, scanning
     # the right one in (length, word) order: the reference for the search's
-    # first-hit scan; returns (u, v) or None
+    # first-hit scan and streamed right half; returns (u, v) or None
     preset = x.preset
     r1 = (radius + 1) // 2
     r2 = radius - r1
@@ -192,23 +168,20 @@ def _full_table_search(x, y, radius, tables):
 # the scan runs; at radius 6 every witness of two B(5) elements is in B(3)
 @pytest.mark.parametrize("radius, right_hits", [(4, 16), (6, 0)])
 def test_first_hit_scan_matches_the_full_tables(radius, right_hits):
-    # a fresh preset, so the search starts with no cached table and meets
-    # every path: a scan that stops, a scan that ends and is kept, a kept
-    # left table with and without a kept right one.  Each x meets the y
-    # longest first, so a later hit can need a later u than an earlier one,
-    # which a left table kept after a stopped scan would lack.
+    # every path of the search: a left scan that stops at y, and one that
+    # ends and streams the right half to a hit or to its end
     preset = core.GroupPreset("grigorchuk", 2, core.GRIGORCHUK_SPECS)
     members = list(enumeration.ball(preset, 5).entries)
-    tables, shared, found = {}, {}, []
+    tables, found = {}, []
     for x in members:
         for y in reversed(members):
             if x is y:
                 continue
             expected = _full_table_search(x, y, radius, tables)
             if expected is None:
-                assert conjugator_search(x, y, radius, shared) is None
+                assert conjugator_search(x, y, radius) is None
             else:
-                assert conjugator_search(x, y, radius, shared) == "".join(expected)
+                assert conjugator_search(x, y, radius) == "".join(expected)
                 found.append(expected)
     assert len(members) * (len(members) - 1) == 4556
     assert len(found) == 308
@@ -281,12 +254,47 @@ def test_conj_growth_table_reads_every_row_off_one_partition(grig, monkeypatch):
 
 def test_unresolved_lists_only_unseparated_pairs(grig):
     # the conjgrowth --max-length 10 --depth 8 --radius 6 partition
-    part = class_partition(enumeration.ball(grig, 10), 8, 6, escalate_to=8)
+    part = class_partition(enumeration.ball(grig, 10), 8, 6)
     assert part.upper > part.lower
     assert len(part.unresolved) == part.upper - part.lower
     for wx, wy in part.unresolved:
         x, y = core.evaluate(grig, wx), core.evaluate(grig, wy)
         assert not quotient_separated(x, y, conjugacy.SEPARATION_LEVEL)
+
+
+@pytest.mark.parametrize("name, n, pairs", [("grigorchuk", 10, 2868), ("gupta-sidki-3", 9, 1142)])
+def test_the_graph_covers_the_radius_6_search(name, n, pairs):
+    # no two members of a bucket that the graph on B(n + 6) leaves in
+    # different classes are conjugate by a word of length at most 6
+    preset = core.load_preset(name)
+    ball_ = enumeration.ball(preset, n)
+    part = class_partition(ball_, 8, 6)
+    by_word = {w: e for e, (_, w) in ball_.entries.items()}
+    class_of = {e: e for e in part.classes}
+    for wy, wx in part.witnesses:
+        class_of[by_word[wy]] = by_word[wx]
+    level = conjugacy.bucket_level(preset)
+    buckets = {}
+    for e in ball_.entries:
+        key = (depth_invariant(e, 8), conjugacy.quotient_class_id(e, level))
+        buckets.setdefault(key, []).append(e)
+    checked = 0
+    for group in buckets.values():
+        for i, x in enumerate(group):
+            for y in group[i + 1 :]:
+                if class_of[x] is not class_of[y]:
+                    checked += 1
+                    assert conjugator_search(y, x, 6) is None
+    assert checked == pairs
+
+
+def test_a_conjugate_in_another_bucket_is_a_fault(grig, monkeypatch):
+    ball_ = enumeration.ball(grig, 3)
+    # a key that is no class function: it parts b from its conjugate aba
+    monkeypatch.setattr(conjugacy, "depth_invariant", lambda x, m: ball_.entries[x][0] == 1)
+    monkeypatch.setattr(conjugacy, "quotient_class_id", lambda x, m: 0)
+    with pytest.raises(AssertionError, match="'b', 'aba' in different buckets"):
+        class_partition(ball_, 8, 0)
 
 
 def test_conj_rows_csv(grig, ball8):
@@ -509,7 +517,10 @@ def test_conjgrowth_on_a_finitary_preset_file_is_exact_and_true(tmp_path, capsys
 
 def test_the_true_class_counts_catch_a_wrong_separation(monkeypatch):
     # a separation that always answers "not conjugate" overcounts the
-    # classes; the radius-0 run, which merges least, must show it
+    # classes, which only a run that merges nothing is sure to show: the
+    # graph on B(n) alone already merges every class of these presets.  So
+    # every conjugation step leaves the walked ball.
     monkeypatch.setattr(conjugacy, "quotient_separated", lambda x, y, m: True)
+    monkeypatch.setattr(conjugacy, "_conjugation_step", lambda preset: lambda s: [("a", None)])
     for name in FINITARY:
         assert _bracket_violations(name, 0)

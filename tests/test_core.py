@@ -357,8 +357,9 @@ def test_derived_data_is_cached_only_in_the_registry():
     fresh = core.GroupPreset("grigorchuk", 2, core.GRIGORCHUK_SPECS)
     attributes = set(vars(fresh))
     enumeration.growth_table(fresh, 4)
-    # conjugator radius 0 merges nothing, so bucket pairs reach the level-5 layer lift
-    conjugacy.conj_growth_table(fresh, 3, depth=2, radius=0)
+    # at radius 0 the graph on B(6) leaves classes that share a bucket, so
+    # their pairs reach the level-5 layer lift
+    conjugacy.conj_growth_table(fresh, 6, depth=2, radius=0)
     constructions.branching_data(fresh)
     constructions.encode_pair("", "ab", fresh)
     budget = width.SearchBudget(radius=1, factor_cap=4)
@@ -378,5 +379,4 @@ def test_derived_data_is_cached_only_in_the_registry():
         "palindrome_set",
         "conjugate_pair_set",
         "commutator_set",
-        "conjugator_words",
     }
